@@ -15,6 +15,10 @@
 //
 //	go run ./cmd/benchgate -baseline BENCH_baseline.json -update bench.out
 //
+// Benchmark names are keyed without the GOMAXPROCS suffix go test
+// appends on multi-core runs, so a baseline recorded on one core gates
+// a run on eight.
+//
 // Rules:
 //   - ns/op: fail when measured > baseline × (1 + tol). Wall time is
 //     machine-dependent, so the tolerance (default 20%) absorbs host
@@ -165,10 +169,14 @@ func compare(base, got map[string]measurement, tol float64) (failures, notes []s
 }
 
 // parseBench reads `go test -bench` output and reduces repeated runs
-// (-count=N) of each benchmark to the minimum ns/op and allocs/op.
+// (-count=N) of each benchmark to the minimum ns/op and allocs/op,
+// keyed by name without the run's GOMAXPROCS suffix (see procsSuffix).
 func parseBench(r io.Reader) (map[string]measurement, error) {
-	out := map[string]measurement{}
-	seen := map[string]bool{}
+	type result struct {
+		name string
+		m    measurement
+	}
+	var results []result
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	for sc.Scan() {
@@ -177,14 +185,8 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 			continue
 		}
 		// BenchmarkName-8  100  1234 ns/op  [custom metrics...]  56 B/op  7 allocs/op
-		name := fields[0]
-		if i := strings.LastIndex(name, "-"); i > 0 {
-			if _, err := strconv.Atoi(name[i+1:]); err == nil {
-				name = name[:i] // strip the GOMAXPROCS suffix
-			}
-		}
 		var m measurement
-		var haveNs, haveAllocs bool
+		var haveNs bool
 		for i := 2; i+1 < len(fields); i += 2 {
 			v, err := strconv.ParseFloat(fields[i], 64)
 			if err != nil {
@@ -194,28 +196,58 @@ func parseBench(r io.Reader) (map[string]measurement, error) {
 			case "ns/op":
 				m.NsPerOp, haveNs = v, true
 			case "allocs/op":
-				m.AllocsPerOp, haveAllocs = int64(v), true
+				// Benchmarks without ReportAllocs gate on time alone.
+				m.AllocsPerOp = int64(v)
 			}
 		}
-		if !haveNs {
-			continue
+		if haveNs {
+			results = append(results, result{fields[0], m})
 		}
-		if !haveAllocs {
-			// Benchmarks without ReportAllocs still gate on time alone.
-			m.AllocsPerOp = 0
-		}
-		if prev, ok := out[name]; ok && seen[name] {
-			if m.NsPerOp < prev.NsPerOp {
-				prev.NsPerOp = m.NsPerOp
-			}
-			if m.AllocsPerOp < prev.AllocsPerOp {
-				prev.AllocsPerOp = m.AllocsPerOp
-			}
-			out[name] = prev
-			continue
-		}
-		out[name] = m
-		seen[name] = true
 	}
-	return out, sc.Err()
+	if err := sc.Err(); err != nil {
+		return nil, err
+	}
+	names := make([]string, len(results))
+	for i, res := range results {
+		names[i] = res.name
+	}
+	suffix := procsSuffix(names)
+	out := map[string]measurement{}
+	for _, res := range results {
+		name := strings.TrimSuffix(res.name, suffix)
+		prev, ok := out[name]
+		if !ok {
+			out[name] = res.m
+			continue
+		}
+		prev.NsPerOp = min(prev.NsPerOp, res.m.NsPerOp)
+		prev.AllocsPerOp = min(prev.AllocsPerOp, res.m.AllocsPerOp)
+		out[name] = prev
+	}
+	return out, nil
+}
+
+// procsSuffix returns the GOMAXPROCS suffix `go test -bench` appended
+// to the benchmark names of a run, "-8" on an 8-proc run, or "" on a
+// 1-proc run, where it appends none. GOMAXPROCS is the same for every
+// line of a run, so the suffix is the trailing "-<int>" that every name
+// ends in; a trailing number that belongs to a sub-benchmark's own name
+// (PartialAdmission/shed-0-of-8) is not shared by every line and stays.
+func procsSuffix(names []string) string {
+	suffix := ""
+	for _, name := range names {
+		i := strings.LastIndex(name, "-")
+		if i <= 0 {
+			return ""
+		}
+		if _, err := strconv.Atoi(name[i+1:]); err != nil {
+			return ""
+		}
+		if suffix == "" {
+			suffix = name[i:]
+		} else if name[i:] != suffix {
+			return ""
+		}
+	}
+	return suffix
 }

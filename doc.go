@@ -136,11 +136,15 @@
 //     descendants can be read concurrently forever.
 //   - Exclusive, single-owner: Profile.Thawed and
 //     CompiledProblem.CompileMutable produce profiles whose
-//     AddTasks/DropTasks patch rows in place inside a private
-//     double-buffered arena, making a steady-state admit+remove cycle
-//     allocation-free. The online manager thaws each touched channel's
-//     profile on first patch; consolidation rebuilds into an
-//     exactly-compact arena so the memory-ratio trigger converges.
+//     AddTasks/DropTasks patch rows in place inside a private arena,
+//     making a steady-state admit+remove cycle allocation-free. A change that moves the hyperperiod recompiles
+//     the profile in place through the same compile kernel Compile
+//     runs, into the profile's own arena and envelope index, so once
+//     they hold the larger horizon it allocates nothing either. The
+//     online manager thaws each touched channel's profile on first
+//     patch; consolidation rebuilds into exactly sized buffers so the
+//     memory-ratio trigger, which counts every buffer a profile keeps,
+//     converges.
 //   - Scratch, per-owner, reused: the manager's touched-channel slice;
 //     the sim engine's epoch buffers (service windows, fault and
 //     corruption overlays), its job records (recycled through a

@@ -225,13 +225,13 @@ func (pf *Profile) withTasksEDF(add []task.Task) (*Profile, error) {
 		if pf.exclusive {
 			pf.prebShared = true
 		}
-		rows := prefixRows(k, N)
+		rows := rowsOver(nil, make([]float64, k*N), k, N)
 		for j := range rows {
 			next.pre[n+j] = rows[j]
 		}
 		next.pinned = pf.pinned + k*N
 	} else {
-		next.pre = prefixRows(n+k, N)
+		next.pre = rowsOver(nil, make([]float64, (n+k)*N), n+k, N)
 		next.pinned = (n + k) * N
 		// Inserted points get fresh prefix columns; runs of retained
 		// points get block copies per row.
@@ -372,7 +372,7 @@ func (pf *Profile) withoutTasksEDF(rem []task.Task) (*Profile, error) {
 		}
 		next.pinned = pf.pinned + (n-keep)*N
 	} else {
-		rows := prefixRows(keep, N)
+		rows := rowsOver(nil, make([]float64, keep*N), keep, N)
 		from, at := 0, 0
 		flush := func(until int) {
 			for r := 0; r < keep; r++ {
@@ -389,7 +389,7 @@ func (pf *Profile) withoutTasksEDF(rem []task.Task) (*Profile, error) {
 		copy(next.pre, rows)
 		next.pinned = n * N
 	}
-	suffix := prefixRows(n-keep, N)
+	suffix := rowsOver(nil, make([]float64, (n-keep)*N), n-keep, N)
 	ts := idx.Ts()
 	for r := keep; r < n; r++ {
 		row := suffix[r-keep]

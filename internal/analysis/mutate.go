@@ -20,17 +20,23 @@ import (
 // owns its state outright and is patched in place:
 //
 //   - the prefix-row matrix lives in one arena (preb) at a uniform
-//     stride, with a spare buffer (prebAlt) that width-changing
-//     relayouts swap with, so steady-state admit+remove cycles reuse
-//     two flat buffers and never allocate;
+//     stride; width-changing relayouts move the rows within it, so
+//     steady-state admit+remove cycles reuse one flat buffer and never
+//     allocate;
 //   - the envelope index is mutated directly (no Clone) — the index's
 //     own copy-on-write machinery privatizes anything still shared
 //     with the ancestor the profile was thawed from;
+//   - an admission or release that moves the hyperperiod re-ranges
+//     every deadline stream, so there is nothing to patch: the profile
+//     is recompiled in place by the EDF compile kernel (compileEDF, the
+//     same kernel behind Compile), which writes the new stream, prefix
+//     rows and index straight into the profile's own buffers and, once
+//     they are warmed to the larger horizon, allocates nothing;
 //   - rejection rollback is the inverse patch: AddTasks followed by
 //     DropTasks of the same tasks restores the profile bit-exactly,
-//     because both directions perform the identical float64 term
-//     accumulation a fresh Compile performs (the same argument that
-//     makes the immutable paths bit-identical to their oracle).
+//     because every direction — patch or recompile — performs the
+//     identical float64 term accumulation (the same argument that makes
+//     the immutable paths bit-identical to their oracle).
 //
 // Exclusivity is a single-owner contract, not a lock: an exclusive
 // profile must only be reached from one goroutine at a time (the
@@ -49,6 +55,15 @@ type patchScratch struct {
 	dls    []float64
 	tmp    []float64
 	used   []bool
+	// set is the candidate or survivor set a hyperperiod move hands to
+	// the compile kernel; rem is DropTasks' private copy of its batch.
+	set task.Set
+	rem []task.Task
+	// Compile kernel scratch: the folded periods, and the per-task
+	// stream heads and deadline indices of the k-way merge.
+	fold  []int64
+	heads []float64
+	ks    []int
 }
 
 var patchPool = sync.Pool{New: func() any { return new(patchScratch) }}
@@ -81,7 +96,6 @@ func (pf *Profile) Thawed() *Profile {
 		}
 		c.setRows(n, N)
 		c.edf = c.idx.Kept()
-		c.pinned = cap(c.preb)
 	case pf.fp != nil:
 		// FP rows are immutable once built; sharing them is safe even
 		// across later in-place patches (those replace row pointers,
@@ -93,35 +107,17 @@ func (pf *Profile) Thawed() *Profile {
 
 // CompileMutable compiles s and returns the profile already in
 // exclusive mode — the starting point for a lineage that will be
-// patched in place rather than cloned.
+// patched in place rather than cloned. Compile already lays the rows
+// out in one exactly sized arena, so nothing is re-homed: a
+// consolidation that rebuilds through CompileMutable reports Ratio 1.0
+// and the ratio trigger converges.
 func CompileMutable(s task.Set, alg Alg) (*Profile, error) {
 	pf, err := Compile(s, alg)
 	if err != nil {
 		return nil, err
 	}
-	pf.bless()
-	return pf, nil
-}
-
-// bless converts a freshly compiled, unshared profile to exclusive
-// mode by re-homing its rows into a private arena. It must only be
-// called on a profile nothing else references. The arena is exactly
-// compact — no growth slack — so a consolidation that rebuilds through
-// CompileMutable reports Ratio 1.0 and the ratio trigger converges;
-// the first width-changing patch afterwards re-establishes the
-// double-buffer slack.
-func (pf *Profile) bless() {
 	pf.exclusive = true
-	if pf.idx == nil {
-		return
-	}
-	n, N := len(pf.pre), pf.idx.Len()
-	pf.preb = make([]float64, n*N)
-	for r, row := range pf.pre {
-		copy(pf.preb[r*N:(r+1)*N], row)
-	}
-	pf.setRows(n, N)
-	pf.pinned = cap(pf.preb)
+	return pf, nil
 }
 
 // idxSnapshot is the index snapshot an immutable constructor takes of
@@ -186,98 +182,95 @@ func (pf *Profile) DropTasks(rem []task.Task) error {
 	return fmt.Errorf("analysis: DropTasks: unknown algorithm %s", pf.alg)
 }
 
-// setRows rebuilds the pre row headers over the arena: n rows of the
-// given width, full-slice-capped so an append through a header can
-// never clobber the next row.
+// setRows rebuilds the pre row headers over the arena.
 func (pf *Profile) setRows(n, width int) {
-	if cap(pf.pre) < n {
-		pf.pre = make([][]float64, 0, n+4)
-	} else {
-		pf.pre = pf.pre[:0]
-	}
-	for r := 0; r < n; r++ {
-		pf.pre = append(pf.pre, pf.preb[r*width:(r+1)*width:(r+1)*width])
-	}
+	pf.pre = rowsOver(pf.pre, pf.preb, n, width)
 }
 
-// spareBuf returns a length-need buffer that does not alias preb,
-// reusing prebAlt's backing when large enough. Contents are garbage;
-// the caller fills every cell it will read.
-func (pf *Profile) spareBuf(need, width int) []float64 {
-	buf := pf.prebAlt[:0]
-	if cap(buf) < need {
-		buf = make([]float64, 0, need+2*width)
+// widenRows lays the arena's first n rows, stored at width
+// N-len(inserted), out at width N with a blank column at each of the
+// ascending positions inserted, in an arena sized for rows rows. The
+// rows move in place, last row first and each right to left, so every
+// cell moves up and none is overwritten before it is read; an arena
+// that is too small, or that an immutable child shares, is replaced
+// (with room to grow) instead.
+func (pf *Profile) widenRows(n, rows, N int, inserted []int) {
+	old := N - len(inserted)
+	need := rows * N
+	src, dst := pf.preb, pf.preb
+	if pf.prebShared || cap(dst) < need {
+		dst = make([]float64, need, need+2*N)
+	} else if len(inserted) == 0 {
+		pf.preb = dst[:need]
+		return
 	}
-	return buf[:need]
+	dst = dst[:need]
+	for r := n - 1; r >= 0; r-- {
+		s, d := src[r*old:(r+1)*old], dst[r*N:(r+1)*N]
+		from, to := old, N
+		for j := len(inserted) - 1; j >= 0; j-- {
+			p := inserted[j]
+			m := to - p - 1
+			copy(d[p+1:to], s[from-m:from])
+			from, to = from-m, p
+		}
+		copy(d[:to], s[:from])
+	}
+	pf.preb, pf.prebShared = dst, false
 }
 
-// swapArena installs buf (obtained from spareBuf) as the row arena and
-// retires the old one to prebAlt for the next relayout — unless the
-// old arena was shared into an immutable child, in which case it is
-// abandoned to that child.
-func (pf *Profile) swapArena(buf []float64) {
-	old := pf.preb
-	pf.preb = buf
+// narrowRows lays the arena's first keep rows, stored at width
+// N+len(dropped), out at width N without the columns at the ascending
+// positions dropped, in an arena sized for rows rows. The rows move in
+// place, first row first and each left to right, so every cell moves
+// down and none is overwritten before it is read; an arena an
+// immutable child shares is replaced instead.
+func (pf *Profile) narrowRows(keep, rows, N int, dropped []int) {
+	old := N + len(dropped)
+	need := rows * N
+	src, dst := pf.preb, pf.preb
 	if pf.prebShared {
-		pf.prebAlt = nil
-		pf.prebShared = false
-	} else {
-		pf.prebAlt = old[:0]
+		dst = make([]float64, need, need+2*N)
+	} else if len(dropped) == 0 {
+		pf.preb = dst[:need]
+		return
 	}
+	dst = dst[:need]
+	for r := 0; r < keep; r++ {
+		s, d := src[r*old:(r+1)*old], dst[r*N:(r+1)*N]
+		from, at := 0, 0
+		for _, p := range dropped {
+			copy(d[at:at+(p-from)], s[from:p])
+			at += p - from
+			from = p + 1
+		}
+		copy(d[at:], s[from:])
+	}
+	pf.preb, pf.prebShared = dst, false
 }
 
-// adoptCompiled is the mutable paths' bail-out, mirroring recompile:
-// rebuild from scratch, then adopt the fresh state into the receiver —
-// re-homed into the receiver's buffers where possible — keeping it
-// exclusive and carrying the fallback count.
-func (pf *Profile) adoptCompiled(s task.Set, bump bool) error {
-	fresh, err := Compile(s, pf.alg)
-	if err != nil {
+// adoptCompiled recompiles the receiver in place as the EDF profile of
+// s through the compile kernel. It serves every hyperperiod move (an
+// admission or release that re-ranges every stream) and the bail-out
+// for a violated stream invariant; bump counts the recompile as a
+// fallback — one the patch paths could have avoided in principle — as
+// opposed to a trivial rebuild of an empty profile or survivor set.
+func (pf *Profile) adoptCompiled(s task.Set, bump bool, sc *patchScratch) error {
+	if err := pf.compileEDF(s, sc); err != nil {
 		return err
 	}
-	fb := pf.fallbacks
 	if bump {
-		fb++
-	}
-	preb, alt, hdrs := pf.preb, pf.prebAlt, pf.pre[:0]
-	if pf.prebShared {
-		preb = nil
-	}
-	rows := fresh.pre
-	*pf = *fresh
-	pf.fallbacks = fb
-	pf.exclusive = true
-	if pf.idx != nil {
-		n, N := len(rows), pf.idx.Len()
-		need := n * N
-		a, b := preb[:0], alt[:0]
-		if cap(a) < need && cap(b) >= need {
-			a, b = b, a
-		}
-		if cap(a) < need {
-			a = make([]float64, 0, need+2*N)
-		}
-		pf.preb, pf.prebAlt = a[:need], b
-		for r, row := range rows {
-			copy(pf.preb[r*N:(r+1)*N], row)
-		}
-		pf.pre = hdrs
-		pf.setRows(n, N)
-		pf.pinned = cap(pf.preb) + cap(pf.prebAlt)
-	} else {
-		// Keep the buffers around: an empty profile may grow again.
-		pf.preb, pf.prebAlt = preb, alt
-		pf.pre = hdrs
+		pf.fallbacks++
 	}
 	return nil
 }
 
 func (pf *Profile) addTasksEDF(add []task.Task) error {
-	if len(pf.tasks) == 0 {
-		return pf.adoptCompiled(append(make(task.Set, 0, len(add)), add...), false)
-	}
 	sc := patchPool.Get().(*patchScratch)
 	defer patchPool.Put(sc)
+	if len(pf.tasks) == 0 {
+		return pf.adoptCompiled(add, false, sc)
+	}
 	// Fold the hyperperiod; the fold is monotone from the current
 	// horizon, so the first divergence is permanent and means every
 	// stream re-ranges — bail to a rebuild immediately.
@@ -292,8 +285,8 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 		scaledAdd = append(scaledAdd, p)
 		if hInt = timeu.LCM(hInt, p); hInt != pf.horizonInt {
 			sc.scaled = scaledAdd
-			cand := append(append(make(task.Set, 0, len(pf.tasks)+len(add)), pf.tasks...), add...)
-			return pf.adoptCompiled(cand, true)
+			sc.set = append(append(sc.set[:0], pf.tasks...), add...)
+			return pf.adoptCompiled(sc.set, true, sc)
 		}
 	}
 	sc.scaled = scaledAdd
@@ -309,34 +302,7 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 	sc.union = union
 	inserted := pf.idx.Merge(union)
 	N := pf.idx.Len()
-	if len(inserted) == 0 {
-		// Widths unchanged: extend the arena by k rows in place (or
-		// privatize it first if an immutable child shares it).
-		need := (n + k) * N
-		if pf.prebShared || cap(pf.preb) < need {
-			buf := pf.spareBuf(need, N)
-			copy(buf, pf.preb[:n*N])
-			pf.swapArena(buf)
-		} else {
-			pf.preb = pf.preb[:need]
-		}
-	} else {
-		// The stream widened: relayout rows 0..n-1 into the spare
-		// arena with gap columns at the inserted positions (the same
-		// block copies the immutable path performs).
-		buf := pf.spareBuf((n+k)*N, N)
-		for r := 0; r < n; r++ {
-			dst, src := buf[r*N:(r+1)*N], pf.pre[r]
-			from, at := 0, 0
-			for _, p := range inserted {
-				copy(dst[at:p], src[from:from+(p-at)])
-				from += p - at
-				at = p + 1
-			}
-			copy(dst[at:], src[from:])
-		}
-		pf.swapArena(buf)
-	}
+	pf.widenRows(n, n+k, N, inserted)
 	pf.setRows(n+k, N)
 	if len(inserted) > 0 {
 		// Brand-new points: accumulate the old set's prefix demand
@@ -356,8 +322,8 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 		if err := pf.idx.AddOwners(sc.dls); err != nil {
 			// Impossible unless the compiled state is corrupted;
 			// degrade to a rebuild rather than panic.
-			cand := append(append(make(task.Set, 0, n+k), pf.tasks...), add...)
-			return pf.adoptCompiled(cand, true)
+			sc.set = append(append(sc.set[:0], pf.tasks...), add...)
+			return pf.adoptCompiled(sc.set, true, sc)
 		}
 	}
 	pf.tasks = append(pf.tasks, add...)
@@ -375,10 +341,9 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 		base = row
 	}
 	if err := pf.idx.SetDemand(pf.pre[n+k-1]); err != nil {
-		return pf.adoptCompiled(pf.tasks, true)
+		return pf.adoptCompiled(pf.tasks, true, sc)
 	}
 	pf.edf = pf.idx.Kept()
-	pf.pinned = cap(pf.preb) + cap(pf.prebAlt)
 	return nil
 }
 
@@ -386,6 +351,10 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	n0 := len(pf.tasks)
 	sc := patchPool.Get().(*patchScratch)
 	defer patchPool.Put(sc)
+	// rem may alias pf.tasks, which the patch compacts in place before
+	// it walks the departing streams.
+	rem = append(sc.rem[:0], rem...)
+	sc.rem = rem
 	used := sc.used
 	if cap(used) < n0 {
 		used = make([]bool, n0)
@@ -412,7 +381,7 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		}
 	}
 	if len(rem) == n0 {
-		return pf.adoptCompiled(nil, false)
+		return pf.adoptCompiled(nil, false, sc)
 	}
 	// Re-fold the surviving hyperperiod. Every cached scaled period
 	// divides the current horizon and the fold is monotone, so once it
@@ -426,13 +395,14 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		}
 	}
 	if hInt != pf.horizonInt {
-		surv := make(task.Set, 0, n0-len(rem))
+		surv := sc.set[:0]
 		for i, tk := range pf.tasks {
 			if !used[i] {
 				surv = append(surv, tk)
 			}
 		}
-		return pf.adoptCompiled(surv, true)
+		sc.set = surv
+		return pf.adoptCompiled(surv, true, sc)
 	}
 	// Compact tasks and scaled in place.
 	w := 0
@@ -443,13 +413,14 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 			w++
 		}
 	}
+	clear(pf.tasks[w:n0])
 	pf.tasks = pf.tasks[:w]
 	pf.scaled = pf.scaled[:w]
 	n := w
 	for _, t := range rem {
 		sc.dls = points.AppendTaskDeadlines(sc.dls[:0], t, pf.horizon)
 		if err := pf.idx.RemoveOwners(sc.dls); err != nil {
-			return pf.adoptCompiled(pf.tasks, true)
+			return pf.adoptCompiled(pf.tasks, true, sc)
 		}
 	}
 	dropped := pf.idx.Compact()
@@ -458,32 +429,7 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	if keep > n {
 		keep = n
 	}
-	if len(dropped) == 0 {
-		// Widths unchanged: rows above the first removed position keep
-		// their values in place; the arena just sheds rows.
-		if pf.prebShared {
-			buf := pf.spareBuf(n*N, N)
-			copy(buf[:keep*N], pf.preb[:keep*N])
-			pf.swapArena(buf)
-		} else {
-			pf.preb = pf.preb[:n*N]
-		}
-	} else {
-		// The stream narrowed: relayout the kept rows into the spare
-		// arena, skipping the dropped columns.
-		buf := pf.spareBuf(n*N, N)
-		for r := 0; r < keep; r++ {
-			dst, src := buf[r*N:(r+1)*N], pf.pre[r]
-			from, at := 0, 0
-			for _, p := range dropped {
-				copy(dst[at:at+(p-from)], src[from:p])
-				at += p - from
-				from = p + 1
-			}
-			copy(dst[at:], src[from:])
-		}
-		pf.swapArena(buf)
-	}
+	pf.narrowRows(keep, n, N, dropped)
 	pf.setRows(n, N)
 	// Re-accumulate the suffix rows in place; each reads the (already
 	// final) row above it.
@@ -503,10 +449,9 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 		}
 	}
 	if err := pf.idx.SetDemand(pf.pre[n-1]); err != nil {
-		return pf.adoptCompiled(pf.tasks, true)
+		return pf.adoptCompiled(pf.tasks, true, sc)
 	}
 	pf.edf = pf.idx.Kept()
-	pf.pinned = cap(pf.preb) + cap(pf.prebAlt)
 	return nil
 }
 

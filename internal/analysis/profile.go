@@ -3,6 +3,7 @@ package analysis
 import (
 	"fmt"
 	"math"
+	"unsafe"
 
 	"repro/internal/envelope"
 	"repro/internal/points"
@@ -83,23 +84,23 @@ type Profile struct {
 	// violated stream invariant); carried across updates so online
 	// managers can report the incremental path's hit rate.
 	fallbacks uint64
-	// pinned counts the prefix-row cells reachable through this
+	// pinned counts the prefix-row cells reachable through an immutable
 	// profile's row backings — including cells that only a shared
-	// ancestor still addresses. The ratio pinned/live drives
-	// consolidation (see MemStats).
+	// ancestor still addresses. An exclusive profile's rows are its
+	// arena, counted at its capacity instead. MemStats adds every
+	// other buffer the profile keeps; the ratio of all of it to the
+	// state in use drives consolidation.
 	pinned int
 
 	// Exclusive-mode state (mutate.go). An exclusive profile is owned by
 	// a single goroutine (the online manager holds it under a channel
 	// lock) and is patched in place by AddTasks/DropTasks instead of
 	// cloned: preb is the arena backing every pre row at a uniform
-	// stride, prebAlt the spare buffer width-changing relayouts swap
-	// with, and prebShared latches that an immutable WithTasks/
+	// stride, and prebShared latches that an immutable WithTasks/
 	// WithoutTasks shared rows of preb into a child, forcing the next
-	// in-place relayout to abandon it.
+	// in-place relayout or recompile to abandon it.
 	exclusive  bool
 	preb       []float64
-	prebAlt    []float64
 	prebShared bool
 }
 
@@ -114,52 +115,12 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 	}
 	switch alg {
 	case EDF:
-		// The same integer fold task.Set.Hyperperiod performs, retaining
-		// the per-task scaled periods for incremental horizon updates.
-		scaled := make([]int64, len(s))
-		hInt := int64(1)
-		for i, tk := range s {
-			p, err := timeu.ScaledPeriod(tk.T, HyperperiodDenominator)
-			if err != nil {
-				return nil, err
-			}
-			scaled[i] = p
-			hInt = timeu.LCM(hInt, p)
-		}
-		pf.scaled = scaled
-		h := float64(hInt) / float64(HyperperiodDenominator)
-		dls, err := points.Deadlines(s, h)
+		sc := patchPool.Get().(*patchScratch)
+		err := pf.compileEDF(s, sc)
+		patchPool.Put(sc)
 		if err != nil {
 			return nil, err
 		}
-		pf.tasks = append(task.Set(nil), s...)
-		pf.horizon = h
-		pf.horizonInt = hInt
-		owners := make([]int32, len(dls))
-		for _, tk := range s {
-			i := 0
-			for _, x := range points.TaskDeadlines(tk, h) {
-				for dls[i] != x {
-					i++
-				}
-				owners[i]++
-				i++
-			}
-		}
-		pf.pre = prefixRows(len(s), len(dls))
-		for k, x := range dls {
-			w := 0.0
-			for r, tk := range s {
-				w += demandTerm(tk, x)
-				pf.pre[r][k] = w
-			}
-		}
-		pf.idx, err = envelope.Build(false, dls, pf.pre[len(s)-1], owners)
-		if err != nil {
-			return nil, err
-		}
-		pf.edf = pf.idx.Kept()
-		pf.pinned = len(s) * len(dls)
 	case RM, DM:
 		ordered := alg.sorted(s)
 		pf.tasks = ordered
@@ -173,14 +134,194 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 	return pf, nil
 }
 
-// prefixRows allocates n rows of width m over one backing array.
-func prefixRows(n, m int) [][]float64 {
-	backing := make([]float64, n*m)
-	rows := make([][]float64, n)
-	for r := range rows {
-		rows[r] = backing[r*m : (r+1)*m : (r+1)*m]
+// compileEDF is the one EDF compile kernel: it recompiles pf in place
+// as the EDF profile of s. Compile runs it on a new profile, so every
+// buffer comes out exactly sized; the exclusive patch paths run it on
+// the live profile when the hyperperiod moves (adoptCompiled), so it
+// reuses the profile's buffers and, once they hold the larger horizon,
+// allocates nothing. The kernel
+//
+//   - folds the scaled periods into the hyperperiod — the integer fold
+//     task.Set.Hyperperiod performs — keeping them for incremental
+//     horizon updates;
+//   - k-way-merges the tasks' deadline streams (the expression and
+//     merge order of points.Deadlines) straight into the envelope
+//     index's own stream and owner buffers (envelope.Index.Restream),
+//     counting a point's owners as the stream heads equal to it;
+//   - fills the prefix rows row-major straight into the preb arena as
+//     pre[r][k] = pre[r-1][k] + demandTerm(tasks[r], t_k): at every
+//     point the same float64 additions in the same order as
+//     DemandBound, so each row is bit-identical to its partial sum;
+//   - re-indexes the envelope over that stream and the full demand row
+//     with envelope.Index.Reset, which reuses the index's slabs.
+//
+// s may alias pf.tasks. An invalid period is reported before pf is
+// touched.
+func (pf *Profile) compileEDF(s task.Set, sc *patchScratch) error {
+	n := len(s)
+	fold := sc.fold[:0]
+	hInt := int64(1)
+	for _, tk := range s {
+		p, err := timeu.ScaledPeriod(tk.T, HyperperiodDenominator)
+		if err != nil {
+			sc.fold = fold
+			return err
+		}
+		fold = append(fold, p)
+		hInt = timeu.LCM(hInt, p)
 	}
-	return rows
+	sc.fold = fold
+	h := float64(hInt) / float64(HyperperiodDenominator)
+	if n == 0 {
+		h, hInt = 0, 0
+	}
+
+	// Merge straight into the index's own stream buffers, which after a
+	// first recompile at this horizon already have room; only a stream
+	// longer than any the index held before (always, for a new index)
+	// takes a second pass into buffers of the exact merged length.
+	heads, ks := resize(sc.heads, n), resize(sc.ks, n)
+	sc.heads, sc.ks = heads, ks
+	if pf.idx == nil && n > 0 {
+		pf.idx = envelope.New(false)
+	}
+	var ts []float64
+	var owners []int32
+	N := 0
+	if n > 0 {
+		ts, owners = pf.idx.Restream(0)
+		room := min(cap(ts), cap(owners))
+		ts, owners = ts[:room], owners[:room]
+		if N = mergeDeadlines(s, h, heads, ks, ts, owners); N > room {
+			ts, owners = pf.idx.Restream(N)
+			mergeDeadlines(s, h, heads, ks, ts, owners)
+		}
+		ts, owners = ts[:N], owners[:N]
+	}
+
+	// Commit. s is read for the last time here: it may alias pf.tasks,
+	// and copy has memmove semantics.
+	pf.tasks = resize(pf.tasks, n)
+	copy(pf.tasks, s)
+	clear(pf.tasks[n:cap(pf.tasks)])
+	pf.scaled = resize(pf.scaled, n)
+	copy(pf.scaled, fold)
+	pf.horizon, pf.horizonInt = h, hInt
+
+	need := n * N
+	a := pf.preb
+	if pf.prebShared || cap(a) < need {
+		// Too small, or an immutable child reads these rows: leave them.
+		a = make([]float64, need)
+	}
+	pf.preb, pf.prebShared = a[:need], false
+	pf.pinned = need
+	pf.setRows(n, N)
+	for r, tk := range pf.tasks {
+		row := pf.pre[r]
+		if r == 0 {
+			for k, x := range ts {
+				row[k] = demandTerm(tk, x)
+			}
+			continue
+		}
+		base := pf.pre[r-1]
+		for k, x := range ts {
+			row[k] = base[k] + demandTerm(tk, x)
+		}
+	}
+
+	if n == 0 {
+		// The empty profile Compile(nil) returns: no index. The row
+		// arena stays, as the profile may grow again.
+		pf.idx, pf.edf = nil, nil
+		return nil
+	}
+	if err := pf.idx.Reset(ts, pf.pre[n-1], owners); err != nil {
+		return err
+	}
+	pf.edf = pf.idx.Kept()
+	return nil
+}
+
+// mergeDeadlines k-way-merges the tasks' deadline streams in (0, h]
+// — the merge points.Deadlines performs — and returns the number of
+// distinct points. It writes each point, and its owner count (the
+// number of stream heads equal to it), to ts and owners while they
+// have room; both must have the same length. heads and ks are scratch
+// of length len(s).
+func mergeDeadlines(s task.Set, h float64, heads []float64, ks []int, ts []float64, owners []int32) int {
+	live := 0
+	for i, tk := range s {
+		ks[i] = 0
+		if heads[i] = nextDeadline(tk, &ks[i], h); !math.IsInf(heads[i], 1) {
+			live++
+		}
+	}
+	N := 0
+	for live > 0 {
+		next := math.Inf(1)
+		for _, hd := range heads {
+			if hd < next {
+				next = hd
+			}
+		}
+		var c int32
+		for i, hd := range heads {
+			if hd == next {
+				c++
+				if heads[i] = nextDeadline(s[i], &ks[i], h); math.IsInf(heads[i], 1) {
+					live--
+				}
+			}
+		}
+		if N < len(ts) {
+			ts[N], owners[N] = next, c
+		}
+		N++
+	}
+	return N
+}
+
+// nextDeadline returns task t's next absolute deadline in (0, horizon]
+// at or after deadline index *k, advancing *k past it, or +Inf once the
+// stream is exhausted. It evaluates k·T + D exactly as points.Deadlines
+// and points.TaskDeadlines do, so the merged stream is bit-identical to
+// theirs.
+func nextDeadline(t task.Task, k *int, horizon float64) float64 {
+	for {
+		dl := float64(*k)*t.T + t.D
+		*k++
+		if dl > horizon {
+			return math.Inf(1)
+		}
+		if dl > 0 {
+			return dl
+		}
+	}
+}
+
+// rowsOver lays n rows of the given width over buf as row headers,
+// reusing hdrs' backing when large enough. Each header is
+// full-slice-capped, so an append through it can never clobber the
+// next row, and the headers past n are cleared so they pin no retired
+// arena.
+func rowsOver(hdrs [][]float64, buf []float64, n, width int) [][]float64 {
+	hdrs = resize(hdrs, n)
+	clear(hdrs[n:cap(hdrs)])
+	for r := range hdrs {
+		hdrs[r] = buf[r*width : (r+1)*width : (r+1)*width]
+	}
+	return hdrs
+}
+
+// resize returns buf at length n, reusing its backing when large
+// enough and allocating exactly n otherwise. Contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // demandTerm is task tk's contribution to the EDF demand bound at x —
@@ -220,15 +361,20 @@ func (pf *Profile) Pairs() int {
 	return n
 }
 
-// Fallbacks returns how many times this profile's incremental lineage
-// fell back to a full recompile instead of patching (a hyperperiod
-// change on admit or release, or a violated stream invariant). A fresh
-// Compile starts at zero; WithTask(s)/WithoutTask(s) carry the count
-// forward and increment it on each bail.
+// Fallbacks returns how many times this profile's lineage was
+// recompiled from scratch instead of patched: an admission or release
+// that moved the EDF hyperperiod (every deadline stream re-ranges, so
+// there is nothing to patch), or a violated stream invariant. The
+// exclusive paths recompile in place through the compile kernel and the
+// immutable ones through Compile, so a fallback costs a full compile's
+// work but, on an exclusive profile, no allocation. A fresh Compile
+// starts at zero; every update carries the count forward and
+// increments it on each recompile.
 func (pf *Profile) Fallbacks() uint64 { return pf.fallbacks }
 
-// MemStats describes the memory retained by a profile's incremental
-// state, in units that expose sharing waste rather than bytes.
+// MemStats describes the memory retained by a profile, in 8-byte cells
+// so that sharing waste and high-water slack show against the state the
+// profile actually uses.
 type MemStats struct {
 	// RetainedPoints is the pre-pruning scheduling-point count (the
 	// envelope index's stream length; 0 for FP profiles).
@@ -237,19 +383,24 @@ type MemStats struct {
 	LivePairs int
 	// OwnerTable is the per-point owner-count table size.
 	OwnerTable int
-	// LiveCells is the number of prefix-row cells (EDF) or
-	// fixed-priority pair cells (RM/DM) the profile actually reads.
+	// LiveCells is the state the profile actually reads. For EDF: the
+	// prefix-row cells, the envelope index at the size a fresh Build of
+	// its stream holds, the task and scaled-period lists and the row
+	// headers; for RM/DM: the fixed-priority pair cells.
 	LiveCells int
-	// PinnedCells is the number of cells kept reachable through the
-	// profile's slice backings — LiveCells plus whatever shared
-	// ancestors' backings the row headers still pin.
+	// PinnedCells is every cell the profile keeps reachable: the
+	// capacity of each buffer behind LiveCells, the spare row arena,
+	// the index's recycled slots and scratch, and whatever shared
+	// ancestors' row backings the row headers still pin. It equals
+	// LiveCells for a fresh Compile.
 	PinnedCells int
 }
 
-// Ratio is PinnedCells over LiveCells: 1 when the profile's backings
+// Ratio is PinnedCells over LiveCells: 1 when the profile's buffers
 // hold exactly its own state, growing as incremental updates accumulate
-// references into ancestors' backings. online.Manager consolidates a
-// channel when this crosses its configured threshold.
+// references into ancestors' backings or as a shrinking stream leaves
+// high-water capacity behind. online.Manager consolidates a channel
+// when this crosses its configured threshold.
 func (m MemStats) Ratio() float64 {
 	if m.LiveCells <= 0 {
 		return 1
@@ -257,33 +408,62 @@ func (m MemStats) Ratio() float64 {
 	return float64(m.PinnedCells) / float64(m.LiveCells)
 }
 
+const (
+	cellBytes   = 8
+	taskBytes   = int(unsafe.Sizeof(task.Task{}))
+	headerBytes = int(unsafe.Sizeof([]float64(nil)))
+)
+
 // MemStats reports the profile's retained-memory shape. It is a cheap
-// O(rows) accounting pass, safe for concurrent use.
+// O(rows) accounting pass, safe for concurrent use on a published
+// profile.
 func (pf *Profile) MemStats() MemStats {
 	var m MemStats
 	m.LivePairs = pf.Pairs()
+	if pf.alg != EDF {
+		for _, row := range pf.fp {
+			m.LiveCells += len(row)
+			m.PinnedCells += cap(row)
+		}
+		return m
+	}
+	var idxLive, idxHeld int
 	if pf.idx != nil {
 		m.RetainedPoints = pf.idx.Len()
 		m.OwnerTable = pf.idx.Len()
-		m.LiveCells = len(pf.pre) * pf.idx.Len()
-		m.PinnedCells = pf.pinned
-		return m
+		idxLive, idxHeld = pf.idx.Footprint()
 	}
-	for _, row := range pf.fp {
-		m.LiveCells += len(row)
-		m.PinnedCells += cap(row)
+	rows := pf.pinned
+	if pf.exclusive {
+		rows = cap(pf.preb)
 	}
+	live := len(pf.pre)*m.RetainedPoints*cellBytes + idxLive +
+		len(pf.tasks)*taskBytes + len(pf.scaled)*cellBytes + len(pf.pre)*headerBytes
+	held := rows*cellBytes + idxHeld +
+		cap(pf.tasks)*taskBytes + cap(pf.scaled)*cellBytes + cap(pf.pre)*headerBytes
+	m.LiveCells, m.PinnedCells = live/cellBytes, held/cellBytes
 	return m
 }
 
-// Check audits the profile against the full-compile oracle: the
-// envelope index's own invariants (envelope.Check) plus a bitwise
-// comparison of the retained stream, owner counts, prefix rows and
-// pruned pairs against a fresh Compile of the same set. It is the
-// profile-level quiescent-point audit internal/chaos runs.
+// Check audits the profile against the from-scratch oracles, none of
+// which shares code with the compile kernel or the patch paths: the
+// envelope index's own invariants (envelope.Check); for EDF the
+// hyperperiod against task.Set.Hyperperiod, the retained stream against
+// points.Deadlines, each point's owner count against the tasks'
+// points.TaskDeadlines streams, every prefix row against the
+// DemandBound partial sums and the pruned pairs against envelope.Prune
+// of the demand row, all bit for bit; for RM/DM the pruned pairs
+// against a fresh Compile. It is the profile-level quiescent-point
+// audit internal/chaos runs.
 func (pf *Profile) Check() error {
 	if err := envelope.Check(pf.idx); err != nil {
 		return fmt.Errorf("analysis: profile check: %w", err)
+	}
+	if pf.alg == EDF {
+		if err := pf.checkEDF(); err != nil {
+			return fmt.Errorf("analysis: profile check: %w", err)
+		}
+		return nil
 	}
 	fresh, err := Compile(pf.tasks, pf.alg)
 	if err != nil {
@@ -292,28 +472,86 @@ func (pf *Profile) Check() error {
 	if !pf.Equal(fresh) {
 		return fmt.Errorf("analysis: profile check: pruned pairs differ from fresh Compile (%d vs %d)", pf.Pairs(), fresh.Pairs())
 	}
+	return nil
+}
+
+func (pf *Profile) checkEDF() error {
+	var ts []float64
 	if pf.idx != nil {
-		ts, want := pf.idx.Ts(), fresh.idx.Ts()
-		if len(ts) != len(want) {
-			return fmt.Errorf("analysis: profile check: %d stream points, fresh Compile has %d", len(ts), len(want))
+		ts = pf.idx.Ts()
+	}
+	if len(pf.tasks) == 0 {
+		if len(ts) != 0 || len(pf.pre) != 0 || len(pf.edf) != 0 {
+			return fmt.Errorf("empty profile retains %d points, %d rows, %d pairs", len(ts), len(pf.pre), len(pf.edf))
 		}
-		for k := range ts {
-			if math.Float64bits(ts[k]) != math.Float64bits(want[k]) {
-				return fmt.Errorf("analysis: profile check: stream point %d is %v, fresh Compile has %v", k, ts[k], want[k])
+		return nil
+	}
+	h, err := pf.tasks.Hyperperiod(HyperperiodDenominator)
+	if err != nil {
+		return err
+	}
+	if math.Float64bits(h) != math.Float64bits(pf.horizon) {
+		return fmt.Errorf("horizon %v, hyperperiod is %v", pf.horizon, h)
+	}
+	dls, err := points.Deadlines(pf.tasks, h)
+	if err != nil {
+		return err
+	}
+	if len(ts) != len(dls) {
+		return fmt.Errorf("%d stream points, points.Deadlines has %d", len(ts), len(dls))
+	}
+	for k := range ts {
+		if math.Float64bits(ts[k]) != math.Float64bits(dls[k]) {
+			return fmt.Errorf("stream point %d is %v, points.Deadlines has %v", k, ts[k], dls[k])
+		}
+	}
+	want := make([]int32, len(dls))
+	for _, tk := range pf.tasks {
+		i := 0
+		for _, x := range points.TaskDeadlines(tk, h) {
+			for i < len(dls) && dls[i] != x {
+				i++
+			}
+			if i == len(dls) {
+				return fmt.Errorf("task %q deadline %v missing from points.Deadlines", tk.Name, x)
+			}
+			want[i]++
+			i++
+		}
+	}
+	owners := pf.idx.Owners()
+	for k := range owners {
+		if owners[k] != want[k] {
+			return fmt.Errorf("owner count at point %d is %d, the task streams give %d", k, owners[k], want[k])
+		}
+	}
+	if len(pf.pre) != len(pf.tasks) {
+		return fmt.Errorf("%d prefix rows for %d tasks", len(pf.pre), len(pf.tasks))
+	}
+	all := make([]envelope.Pair, len(dls))
+	for k, x := range dls {
+		// DemandBound's own accumulation, one partial sum per row.
+		w := 0.0
+		for r, tk := range pf.tasks {
+			if m := math.Floor((x + tk.T - tk.D) / tk.T); m > 0 {
+				w += m * tk.C
+			}
+			if len(pf.pre[r]) != len(dls) || math.Float64bits(pf.pre[r][k]) != math.Float64bits(w) {
+				return fmt.Errorf("prefix row %d point %d diverged from the DemandBound partial sum", r, k)
 			}
 		}
-		owners, wantOwners := pf.idx.Owners(), fresh.idx.Owners()
-		for k := range owners {
-			if owners[k] != wantOwners[k] {
-				return fmt.Errorf("analysis: profile check: owner count at point %d is %d, fresh Compile has %d", k, owners[k], wantOwners[k])
-			}
+		if d := DemandBound(pf.tasks, x); math.Float64bits(d) != math.Float64bits(w) {
+			return fmt.Errorf("demand at point %d is %v, DemandBound has %v", k, w, d)
 		}
-		for r := range pf.pre {
-			for k := range pf.pre[r] {
-				if math.Float64bits(pf.pre[r][k]) != math.Float64bits(fresh.pre[r][k]) {
-					return fmt.Errorf("analysis: profile check: prefix row %d point %d diverged from fresh Compile", r, k)
-				}
-			}
+		all[k] = envelope.Pair{T: x, W: w}
+	}
+	kept := envelope.Prune(all, false)
+	if len(kept) != len(pf.edf) {
+		return fmt.Errorf("%d pruned pairs, envelope.Prune keeps %d", len(pf.edf), len(kept))
+	}
+	for i := range kept {
+		if pf.edf[i] != kept[i] {
+			return fmt.Errorf("pruned pair %d is %+v, envelope.Prune has %+v", i, pf.edf[i], kept[i])
 		}
 	}
 	return nil

@@ -9,7 +9,7 @@ import (
 // Check audits every index invariant: slot-table consistency, a
 // strictly ascending stream, owner counts ≥ 1, sorted rank keys whose
 // truncated bits match the slot rankings, bit-exact maxInf prefix
-// maxima, drop flags equal to a from-scratch canonical walk, and a
+// maxima (when materialized), drop flags equal to a from-scratch canonical walk, and a
 // pruned envelope equal to the from-scratch Prune of the live stream.
 // A nil index is trivially valid. Check is read-only up to an internal
 // recompute-and-restore in big mode; it must not run concurrently with
@@ -29,9 +29,9 @@ func Check(x *Index) error {
 	if len(x.slot) != n {
 		return fmt.Errorf("envelope: check: %d stream points but %d slot refs", n, len(x.slot))
 	}
-	cols := len(x.tS)
+	cols := len(x.wS)
 	for name, l := range map[string]int{
-		"wS": len(x.wS), "rank0S": len(x.rank0S), "infS": len(x.infS),
+		"rank0S": len(x.rank0S), "infS": len(x.infS),
 		"ownS": len(x.ownS), "dropS": len(x.dropS),
 	} {
 		if l != cols {
@@ -50,13 +50,10 @@ func Check(x *Index) error {
 		if p > 0 && !(x.ts[p] > x.ts[p-1]) {
 			return fmt.Errorf("envelope: check: stream not strictly ascending at position %d", p)
 		}
-		if math.Float64bits(x.tS[s]) != math.Float64bits(x.ts[p]) {
-			return fmt.Errorf("envelope: check: slot %d time %v disagrees with stream %v", s, x.tS[s], x.ts[p])
-		}
 		if x.ownS[s] < 1 {
 			return fmt.Errorf("envelope: check: live point t=%v has owner count %d", x.ts[p], x.ownS[s])
 		}
-		r0, rInf := x.rank(x.tS[s], x.wS[s])
+		r0, rInf := x.rank(x.ts[p], x.wS[s])
 		if math.Float64bits(r0) != math.Float64bits(x.rank0S[s]) || math.Float64bits(rInf) != math.Float64bits(x.infS[s]) {
 			return fmt.Errorf("envelope: check: slot %d rankings stale for t=%v", s, x.ts[p])
 		}
@@ -80,7 +77,7 @@ func Check(x *Index) error {
 		if n > maxSlots {
 			return fmt.Errorf("envelope: check: %d points in small mode (max %d)", n, maxSlots)
 		}
-		if len(x.keys) != n || len(x.maxInf) != n {
+		if len(x.keys) != n || (x.maxInfOK && len(x.maxInf) != n) {
 			return fmt.Errorf("envelope: check: %d keys and %d maxInf entries for %d points", len(x.keys), len(x.maxInf), n)
 		}
 		run := math.Inf(-1)
@@ -98,25 +95,25 @@ func Check(x *Index) error {
 			if v := x.infS[s]; v > run {
 				run = v
 			}
-			if math.Float64bits(x.maxInf[j]) != math.Float64bits(run) {
+			if x.maxInfOK && math.Float64bits(x.maxInf[j]) != math.Float64bits(run) {
 				return fmt.Errorf("envelope: check: maxInf[%d] = %v, want %v", j, x.maxInf[j], run)
 			}
 		}
 		drop := make([]bool, cols)
 		walk(x.keys, x.rank0S, x.infS, drop, nil)
-		for _, s := range x.slot {
+		for p, s := range x.slot {
 			if drop[s] != x.dropS[s] {
-				return fmt.Errorf("envelope: check: drop flag of t=%v diverged from canonical walk (have %v)", x.tS[s], x.dropS[s])
+				return fmt.Errorf("envelope: check: drop flag of t=%v diverged from canonical walk (have %v)", x.ts[p], x.dropS[s])
 			}
 		}
 	} else if !x.flagsDirty {
 		saved := slices.Clone(x.dropS)
 		x.rebuildBig()
-		for _, s := range x.slot {
+		for p, s := range x.slot {
 			if saved[s] != x.dropS[s] {
 				have := saved[s]
 				copy(x.dropS, saved)
-				return fmt.Errorf("envelope: check: big-mode drop flag of t=%v diverged (have %v)", x.tS[s], have)
+				return fmt.Errorf("envelope: check: big-mode drop flag of t=%v diverged (have %v)", x.ts[p], have)
 			}
 		}
 	}

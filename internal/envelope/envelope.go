@@ -112,8 +112,10 @@ type Index struct {
 	slot []int32
 
 	// Columnar per-slot state, indexed by slot id. Slots of departed
-	// points are recycled through free.
-	tS     []float64
+	// points are recycled through free. A slot's time is not stored: the
+	// columns are only ever reached with the point's stream position (or
+	// its time) at hand, and the rankings cache everything the rank
+	// order needs.
 	wS     []float64
 	rank0S []float64
 	infS   []float64
@@ -123,8 +125,14 @@ type Index struct {
 
 	// Rank order (small mode only): keys sorted ascending — descending
 	// in rank0 — and the prefix maximum of rankInf in that order.
-	keys   []uint64
-	maxInf []float64
+	// maxInf is only read by the sparse key updates (insertKey,
+	// removeKey): a re-sort fills it when it already has room and
+	// otherwise leaves it stale (maxInfOK false) for ensureMaxInf to
+	// rebuild on demand, so an index only ever rebuilt wholesale never
+	// holds it.
+	keys     []uint64
+	maxInf   []float64
+	maxInfOK bool
 
 	// big marks degraded mode (> maxSlots slots were needed): no keys,
 	// flags recomputed from scratch when dirty. flagsDirty is also the
@@ -141,7 +149,7 @@ type Index struct {
 	// mutated again (published profiles are immutable, so the codebase
 	// only mutates clones or never-cloned exclusive indexes).
 	sharedStream bool // ts, slot
-	sharedSlabs  bool // tS, wS, rank0S, infS, ownS, dropS, free
+	sharedSlabs  bool // wS, rank0S, infS, ownS, dropS, free
 	sharedRank   bool // keys, maxInf
 	sharedKept   bool // kept
 
@@ -166,46 +174,109 @@ func New(min bool) *Index {
 
 // Build indexes a prepared stream: ts strictly ascending, ws the
 // demand at each point, owners how many tasks own each point (nil for
-// all-ones). The inputs are copied.
+// all-ones). The inputs are copied. Build is Reset on a new index.
 func Build(min bool, ts, ws []float64, owners []int32) (*Index, error) {
-	if len(ws) != len(ts) {
-		return nil, fmt.Errorf("envelope: Build: %d points but %d demands", len(ts), len(ws))
-	}
-	if owners != nil && len(owners) != len(ts) {
-		return nil, fmt.Errorf("envelope: Build: %d points but %d owner counts", len(ts), len(owners))
-	}
 	x := New(min)
-	n := len(ts)
-	x.ts = slices.Clone(ts)
-	x.slot = make([]int32, n)
-	x.tS = slices.Clone(ts)
-	x.wS = slices.Clone(ws)
-	x.rank0S = make([]float64, n)
-	x.infS = make([]float64, n)
-	x.ownS = make([]int32, n)
-	x.dropS = make([]bool, n)
-	for p := range ts {
-		if p > 0 && !(ts[p] > ts[p-1]) {
-			return nil, fmt.Errorf("envelope: Build: points not strictly ascending at %d", p)
-		}
-		x.slot[p] = int32(p)
-		x.rank0S[p], x.infS[p] = x.rank(ts[p], ws[p])
-		if owners != nil {
-			x.ownS[p] = owners[p]
-		} else {
-			x.ownS[p] = 1
-		}
-	}
-	if n > maxSlots {
-		x.promote()
-	} else {
-		x.keys = make([]uint64, n)
-		for p := range x.slot {
-			x.keys[p] = packRank(x.rank0S[p]) | uint64(p)
-		}
-		x.resort()
+	if err := x.Reset(ts, ws, owners); err != nil {
+		return nil, err
 	}
 	return x, nil
+}
+
+// Reset re-indexes x as the prepared stream (ts, ws, owners), with the
+// inputs and the resulting state exactly as Build would produce them,
+// but reusing the index's own slabs, keys and kept buffer instead of
+// allocating — so a recompile that lands on a stream no longer than
+// one the index held before allocates nothing. A buffer a copy-on-write
+// Clone still shares is discarded, never written. On error the index
+// is unchanged.
+func (x *Index) Reset(ts, ws []float64, owners []int32) error {
+	n := len(ts)
+	if len(ws) != n {
+		return fmt.Errorf("envelope: Build: %d points but %d demands", n, len(ws))
+	}
+	if owners != nil && len(owners) != n {
+		return fmt.Errorf("envelope: Build: %d points but %d owner counts", n, len(owners))
+	}
+	for p := 1; p < n; p++ {
+		if !(ts[p] > ts[p-1]) {
+			return fmt.Errorf("envelope: Build: points not strictly ascending at %d", p)
+		}
+	}
+	if x.sharedStream {
+		x.ts, x.slot = nil, nil
+	}
+	if x.sharedSlabs {
+		x.wS, x.rank0S, x.infS, x.ownS, x.dropS, x.free = nil, nil, nil, nil, nil, nil
+	}
+	if x.sharedRank {
+		x.keys, x.maxInf = nil, nil
+	}
+	if x.sharedKept {
+		x.kept = nil
+	}
+	x.sharedStream, x.sharedSlabs, x.sharedRank, x.sharedKept = false, false, false, false
+	x.ts = resize(x.ts, n)
+	x.slot = resize(x.slot, n)
+	x.wS = resize(x.wS, n)
+	x.rank0S = resize(x.rank0S, n)
+	x.infS = resize(x.infS, n)
+	x.ownS = resize(x.ownS, n)
+	x.dropS = resize(x.dropS, n)
+	x.free = x.free[:0]
+	copy(x.ts, ts)
+	copy(x.wS, ws)
+	for p := range ts {
+		x.slot[p] = int32(p)
+		x.rank0S[p], x.infS[p] = x.rank(ts[p], ws[p])
+		own := int32(1)
+		if owners != nil {
+			own = owners[p]
+		}
+		x.ownS[p] = own
+		x.dropS[p] = false
+	}
+	x.big, x.flagsDirty, x.keptOK = false, false, false
+	if n > maxSlots {
+		x.promote()
+		return nil
+	}
+	x.keys = resize(x.keys, n)
+	for p := range x.keys {
+		x.keys[p] = packRank(x.rank0S[p]) | uint64(p)
+	}
+	x.resort()
+	return nil
+}
+
+// Restream hands a caller that prepares the next stream for Reset the
+// index's own stream and owner-count buffers at length n, to fill with
+// the points and their owner counts: Reset then re-indexes from them
+// without a copy, and the caller needs no scratch of its own. Buffers
+// too short for n are replaced by exactly sized ones; capacity past n
+// is the index's own too, for a caller that learns the stream length
+// while filling. A buffer a copy-on-write Clone still shares is
+// replaced, never handed out. The index is unusable from Restream until
+// the Reset.
+func (x *Index) Restream(n int) (ts []float64, owners []int32) {
+	if x.sharedStream {
+		x.ts, x.slot, x.sharedStream = nil, nil, false
+	}
+	if x.sharedSlabs {
+		x.wS, x.rank0S, x.infS, x.ownS, x.dropS, x.free = nil, nil, nil, nil, nil, nil
+		x.sharedSlabs = false
+	}
+	x.ts, x.ownS = resize(x.ts, n), resize(x.ownS, n)
+	return x.ts, x.ownS
+}
+
+// resize returns buf at length n, reusing its backing when large
+// enough and allocating exactly n otherwise. Contents are unspecified.
+func resize[T any](buf []T, n int) []T {
+	if cap(buf) < n {
+		return make([]T, n)
+	}
+	return buf[:n]
 }
 
 // Min reports whether the index keeps the min-envelope.
@@ -246,6 +317,34 @@ func (x *Index) Owners() []int32 {
 	return out
 }
 
+// Footprint reports the index's memory in bytes: live is what a fresh
+// Build of the current stream holds once its envelope is materialized,
+// held is the capacity of every buffer the index keeps reachable,
+// recycled slots and scratch included. held equals live for a fresh
+// Build and grows as mutations and Resets leave high-water capacity
+// behind.
+func (x *Index) Footprint() (live, held int) {
+	const (
+		f64  = 8
+		i32  = 4
+		pair = 16
+	)
+	// Per point: ts, slot, the three float slabs, ownS, dropS and
+	// (outside big mode) keys; plus the kept envelope. maxInf, rebuilt
+	// on demand, only counts as held.
+	perPoint := f64 + i32 + 3*f64 + i32 + 1
+	if !x.big {
+		perPoint += f64
+	}
+	live = len(x.ts)*perPoint + len(x.kept)*pair
+	held = cap(x.ts)*f64 + cap(x.slot)*i32 +
+		(cap(x.wS)+cap(x.rank0S)+cap(x.infS))*f64 +
+		cap(x.ownS)*i32 + cap(x.dropS) + cap(x.free)*i32 +
+		(cap(x.keys)+cap(x.maxInf))*f64 + cap(x.kept)*pair +
+		(cap(x.posBuf)+cap(x.retBuf))*f64
+	return live, held
+}
+
 // Clone returns a copy-on-write copy: every columnar slab is shared
 // with the receiver until the clone first writes it, at which point the
 // touched group (stream order, slot columns, or rank order) is
@@ -275,16 +374,14 @@ func (x *Index) DeepClone() *Index {
 	// each; the full slice expressions cap every column at its length,
 	// so a later append on the copy reallocates instead of clobbering
 	// its neighbour.
-	n, m, k := len(x.ts), len(x.tS), len(x.maxInf)
-	fb := make([]float64, n+4*m+k)
+	n, m, k := len(x.ts), len(x.wS), len(x.maxInf)
+	fb := make([]float64, n+3*m+k)
 	c.ts = fb[:n:n]
-	c.tS = fb[n : n+m : n+m]
-	c.wS = fb[n+m : n+2*m : n+2*m]
-	c.rank0S = fb[n+2*m : n+3*m : n+3*m]
-	c.infS = fb[n+3*m : n+4*m : n+4*m]
-	c.maxInf = fb[n+4*m : n+4*m+k : n+4*m+k]
+	c.wS = fb[n : n+m : n+m]
+	c.rank0S = fb[n+m : n+2*m : n+2*m]
+	c.infS = fb[n+2*m : n+3*m : n+3*m]
+	c.maxInf = fb[n+3*m : n+3*m+k : n+3*m+k]
 	copy(c.ts, x.ts)
-	copy(c.tS, x.tS)
 	copy(c.wS, x.wS)
 	copy(c.rank0S, x.rank0S)
 	copy(c.infS, x.infS)
@@ -325,17 +422,15 @@ func (x *Index) ensureSlabs() {
 	if !x.sharedSlabs {
 		return
 	}
-	m := len(x.tS)
-	fb := make([]float64, 4*m)
-	tS := fb[0*m : 1*m : 1*m]
-	wS := fb[1*m : 2*m : 2*m]
-	rank0S := fb[2*m : 3*m : 3*m]
-	infS := fb[3*m : 4*m : 4*m]
-	copy(tS, x.tS)
+	m := len(x.wS)
+	fb := make([]float64, 3*m)
+	wS := fb[0*m : 1*m : 1*m]
+	rank0S := fb[1*m : 2*m : 2*m]
+	infS := fb[2*m : 3*m : 3*m]
 	copy(wS, x.wS)
 	copy(rank0S, x.rank0S)
 	copy(infS, x.infS)
-	x.tS, x.wS, x.rank0S, x.infS = tS, wS, rank0S, infS
+	x.wS, x.rank0S, x.infS = wS, rank0S, infS
 	f := len(x.free)
 	ib := make([]int32, m+f)
 	ownS := ib[:m:m]
@@ -402,9 +497,15 @@ func (x *Index) Kept() []Pair {
 		return x.kept
 	}
 	x.refresh()
+	k := 0
+	for _, s := range x.slot {
+		if !x.dropS[s] {
+			k++
+		}
+	}
 	var kept []Pair
-	if x.sharedKept || cap(x.kept) < len(x.ts) {
-		kept = make([]Pair, 0, len(x.ts))
+	if x.sharedKept || cap(x.kept) < k {
+		kept = make([]Pair, 0, k)
 		x.sharedKept = false
 	} else {
 		// The previous materialization is this index's own buffer (no
@@ -477,34 +578,42 @@ func (x *Index) Merge(union []float64) []int {
 		x.retBuf = inserted
 		return inserted
 	}
-	// Dense path: splice the streams in one pass, then append the new
-	// slots' keys and re-walk.
+	// Dense path: grow the stream arrays by the missing count and merge
+	// the union in from the back, so the existing points shift into
+	// place without a second buffer; then append the new slots' keys
+	// and re-walk.
 	n := len(x.ts)
-	ts := make([]float64, 0, n+missing)
-	slot := make([]int32, 0, n+missing)
+	m := n + missing
+	ts, slot := x.ts, x.slot
+	if x.sharedStream || cap(ts) < m || cap(slot) < m {
+		ts, slot = make([]float64, m), make([]int32, m)
+		copy(ts, x.ts)
+		copy(slot, x.slot)
+		x.sharedStream = false
+	}
+	ts, slot = ts[:m], slot[:m]
 	inserted := x.retBuf[:0]
-	i = 0
-	for _, t := range union {
-		for i < n && x.ts[i] < t {
-			ts = append(ts, x.ts[i])
-			slot = append(slot, x.slot[i])
-			i++
+	i, w := n-1, m-1
+	for j := len(union) - 1; j >= 0; j-- {
+		t := union[j]
+		for i >= 0 && ts[i] > t {
+			ts[w], slot[w] = ts[i], slot[i]
+			i--
+			w--
 		}
-		if i < n && x.ts[i] == t {
+		if i >= 0 && ts[i] == t {
 			continue
 		}
-		inserted = append(inserted, len(ts))
 		s := x.alloc()
-		x.tS[s], x.wS[s], x.ownS[s] = t, 0, 0
+		x.wS[s], x.ownS[s] = 0, 0
 		x.rank0S[s], x.infS[s] = x.rank(t, 0)
 		x.dropS[s] = false
-		ts = append(ts, t)
-		slot = append(slot, s)
+		ts[w], slot[w] = t, s
+		inserted = append(inserted, w)
+		w--
 	}
-	ts = append(ts, x.ts[i:]...)
-	slot = append(slot, x.slot[i:]...)
+	slices.Reverse(inserted)
 	x.ts, x.slot = ts, slot
-	x.sharedStream = false // freshly built arrays
 	x.retBuf = inserted
 	x.keptOK = false
 	if x.big || x.deferSmall() {
@@ -640,7 +749,7 @@ func (x *Index) SetDemand(ws []float64) error {
 			s := x.slot[p]
 			x.removeKey(s)
 			x.wS[s] = ws[p]
-			x.rank0S[s], x.infS[s] = x.rank(x.tS[s], ws[p])
+			x.rank0S[s], x.infS[s] = x.rank(x.ts[p], ws[p])
 			x.insertKey(s)
 		}
 		return nil
@@ -648,7 +757,7 @@ func (x *Index) SetDemand(ws []float64) error {
 	for _, p := range changed {
 		s := x.slot[p]
 		x.wS[s] = ws[p]
-		x.rank0S[s], x.infS[s] = x.rank(x.tS[s], ws[p])
+		x.rank0S[s], x.infS[s] = x.rank(x.ts[p], ws[p])
 	}
 	if x.big || x.deferSmall() {
 		x.flagsDirty = true
@@ -734,18 +843,36 @@ func walk(keys []uint64, r0, inf []float64, drop []bool, maxInf []float64) {
 	}
 }
 
-// resort sorts the prepared keys, rebuilds maxInf and re-evaluates
-// every drop flag with the canonical walk.
+// resort sorts the prepared keys, re-evaluates every drop flag with
+// the canonical walk and, when the buffer has room, rebuilds maxInf in
+// the same pass.
 func (x *Index) resort() {
 	x.ensureRank()
 	x.ensureSlabs() // walk writes dropS
 	slices.Sort(x.keys)
-	if cap(x.maxInf) < len(x.keys) {
-		x.maxInf = make([]float64, len(x.keys))
+	var maxInf []float64
+	if x.maxInfOK = cap(x.maxInf) >= len(x.keys); x.maxInfOK {
+		x.maxInf = x.maxInf[:len(x.keys)]
+		maxInf = x.maxInf
 	}
-	x.maxInf = x.maxInf[:len(x.keys)]
-	walk(x.keys, x.rank0S, x.infS, x.dropS, x.maxInf)
+	walk(x.keys, x.rank0S, x.infS, x.dropS, maxInf)
 	x.keptOK = false
+}
+
+// ensureMaxInf rebuilds maxInf when a re-sort left it stale.
+func (x *Index) ensureMaxInf() {
+	if x.maxInfOK {
+		return
+	}
+	x.maxInf = resize(x.maxInf, len(x.keys))
+	run := math.Inf(-1)
+	for j, k := range x.keys {
+		if v := x.infS[k&slotMask]; v > run {
+			run = v
+		}
+		x.maxInf[j] = run
+	}
+	x.maxInfOK = true
 }
 
 // alloc claims a slot id, promoting the index to big mode when the id
@@ -757,11 +884,10 @@ func (x *Index) alloc() int32 {
 		x.free = x.free[:n-1]
 		return s
 	}
-	s := int32(len(x.tS))
+	s := int32(len(x.wS))
 	if s >= maxSlots && !x.big {
 		x.promote()
 	}
-	x.tS = append(x.tS, 0)
 	x.wS = append(x.wS, 0)
 	x.rank0S = append(x.rank0S, 0)
 	x.infS = append(x.infS, 0)
@@ -791,7 +917,7 @@ func (x *Index) freeSlot(s int32) {
 func (x *Index) insertPoint(t, w float64, owners int32) int {
 	p := sort.SearchFloat64s(x.ts, t)
 	s := x.alloc()
-	x.tS[s], x.wS[s], x.ownS[s] = t, w, owners
+	x.wS[s], x.ownS[s] = w, owners
 	x.rank0S[s], x.infS[s] = x.rank(t, w)
 	x.dropS[s] = false
 	x.ensureStream()
@@ -832,6 +958,7 @@ func (x *Index) upperBound(k uint64) int {
 func (x *Index) insertKey(s int32) {
 	x.ensureRank()
 	x.ensureSlabs() // applyFlag writes dropS
+	x.ensureMaxInf()
 	key := packRank(x.rank0S[s]) | uint64(s)
 	q := x.upperBound(key)
 	inf := x.infS[s]
@@ -863,6 +990,7 @@ func (x *Index) insertKey(s int32) {
 func (x *Index) removeKey(s int32) {
 	x.ensureRank()
 	x.ensureSlabs() // applyFlag writes dropS
+	x.ensureMaxInf()
 	key := packRank(x.rank0S[s]) | uint64(s)
 	q := sort.Search(len(x.keys), func(i int) bool { return x.keys[i] >= key })
 	infRem := x.infS[s]

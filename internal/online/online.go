@@ -95,8 +95,8 @@ const DefaultConsolidateEvery = 128
 // DefaultConsolidateRatio is the automatic consolidation trigger a new
 // manager starts with: a channel is rebuilt from scratch when its
 // profile's retained/live memory ratio (analysis.MemStats.Ratio — the
-// prefix-row cells its slice backings pin over the cells it actually
-// reads) reaches this factor. SetConsolidateRatio changes it.
+// memory its buffers keep over the memory its state actually uses)
+// reaches this factor. SetConsolidateRatio changes it.
 const DefaultConsolidateRatio = 4.0
 
 // Manager tracks a live configuration and reconfigures it in batches.
@@ -1243,11 +1243,12 @@ func (m *Manager) consolidateLocked(st *channelState) bool {
 }
 
 // CheckProfiles audits every channel's compiled profile against the
-// full-compile oracle (analysis.Profile.Check): the envelope index's
-// own invariants plus a bitwise comparison of the retained streams and
-// pruned pairs against a fresh Compile. Full recompilation cost, one
-// channel lock at a time — a quiescent-point audit for harnesses
-// (internal/chaos), not a per-reshape check.
+// from-scratch oracles (analysis.Profile.Check): the envelope index's
+// own invariants plus a bitwise comparison of the retained streams,
+// prefix rows and pruned pairs against points.Deadlines, DemandBound
+// and envelope.Prune. Full recompilation cost, one channel lock at a
+// time — a quiescent-point audit for harnesses (internal/chaos), not a
+// per-reshape check.
 func (m *Manager) CheckProfiles() error {
 	for _, mode := range task.Modes() {
 		for ch, st := range m.channels[mode] {

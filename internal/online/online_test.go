@@ -105,6 +105,39 @@ func TestAdmitInvalidTask(t *testing.T) {
 	}
 }
 
+// TestAdmitNonFiniteTask pins two reproduced bugs: a task with C = NaN
+// used to be admitted and could then never be removed (its profile
+// entry never compared equal), and one with T = +Inf panicked in the
+// hyperperiod fold. Both must come back as typed invalid-task
+// rejections that leave the manager untouched.
+func TestAdmitNonFiniteTask(t *testing.T) {
+	m := maxFlexManager(t)
+	before := m.Tasks()
+	for _, tk := range []task.Task{
+		{Name: "nanC", C: math.NaN(), T: 10, D: 10, Mode: task.NF},
+		{Name: "infT", C: 0.1, T: math.Inf(1), Mode: task.NF},
+		{Name: "infD", C: 0.1, T: 10, D: math.Inf(1), Mode: task.NF},
+	} {
+		err := m.Admit(tk)
+		var rej *Rejection
+		if !errors.As(err, &rej) || len(rej.Verdicts) != 1 || rej.Verdicts[0].Code != VerdictInvalid {
+			t.Fatalf("Admit(%s) = %v, want a VerdictInvalid rejection", tk.Name, err)
+		}
+		if _, found := m.Tasks().Find(tk.Name); found {
+			t.Fatalf("%s admitted", tk.Name)
+		}
+	}
+	if got := m.Tasks(); len(got) != len(before) {
+		t.Fatalf("rejections changed the task set: %d tasks, want %d", len(got), len(before))
+	}
+	if err := m.Verify(); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.CheckProfiles(); err != nil {
+		t.Fatal(err)
+	}
+}
+
 func TestRemoveReclaimsSlack(t *testing.T) {
 	m := maxFlexManager(t)
 	before := m.Slack()

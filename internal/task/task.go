@@ -130,8 +130,13 @@ func (t Task) Normalized() Task {
 }
 
 // Validate checks the task parameters against the sporadic model.
+// NaN and infinite C, T or D are rejected: the analysis has no meaning
+// for them (a NaN demand compares false against everything, and an
+// infinite period has no hyperperiod).
 func (t Task) Validate() error {
 	switch {
+	case !finite(t.C) || !finite(t.T) || !finite(t.D):
+		return fmt.Errorf("task %s: C = %g, T = %g, D = %g must all be finite", t.Name, t.C, t.T, t.D)
 	case t.C <= 0:
 		return fmt.Errorf("task %s: C = %g must be positive", t.Name, t.C)
 	case t.T <= 0:
@@ -150,6 +155,8 @@ func (t Task) Validate() error {
 	}
 	return nil
 }
+
+func finite(v float64) bool { return !math.IsNaN(v) && !math.IsInf(v, 0) }
 
 // Set is an ordered collection of tasks.
 type Set []Task

@@ -67,6 +67,13 @@ func TestTaskValidate(t *testing.T) {
 		{Name: "badmode", C: 1, T: 10, D: 10, Mode: Mode(7)},
 		{Name: "badch", C: 1, T: 10, D: 10, Mode: FT, Channel: 1},
 		{Name: "negch", C: 1, T: 10, D: 10, Mode: NF, Channel: -1},
+		{Name: "cnan", C: math.NaN(), T: 10, D: 10, Mode: NF},
+		{Name: "tnan", C: 1, T: math.NaN(), D: 10, Mode: NF},
+		{Name: "dnan", C: 1, T: 10, D: math.NaN(), Mode: NF},
+		{Name: "cinf", C: math.Inf(1), T: 10, D: 10, Mode: NF},
+		{Name: "tinf", C: 1, T: math.Inf(1), D: 10, Mode: NF},
+		{Name: "tinfd", C: 1, T: math.Inf(1), D: math.Inf(1), Mode: NF},
+		{Name: "dneginf", C: 1, T: 10, D: math.Inf(-1), Mode: NF},
 	}
 	for _, b := range bad {
 		if err := b.Validate(); err == nil {
