@@ -1,9 +1,11 @@
 package repro
 
 import (
-	"math/rand"
 	"fmt"
+	"math"
+	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -21,6 +23,44 @@ import (
 // Table 2 rows), plus ablations for the design decisions called out in
 // DESIGN.md. Key reproduced values are attached as custom metrics so
 // `go test -bench` output doubles as the experiment record.
+
+// calibrationSink keeps BenchmarkCalibrate's result observable.
+var calibrationSink float64
+
+// BenchmarkCalibrate is the in-run reference cmd/benchgate divides every
+// gated ns/op by, so that the CI gate compares the code rather than the
+// host. It runs no repository code: a fixed, allocation-free mix of the
+// work the hot paths do — sorting packed uint64 keys, a sqrt-and-divide
+// max scan, block copies — over fixed-size buffers.
+func BenchmarkCalibrate(b *testing.B) {
+	const n = 2048
+	keys := make([]uint64, n)
+	scratch := make([]uint64, n)
+	xs := make([]float64, n)
+	x := uint64(88172645463325252)
+	for i := range keys {
+		x ^= x << 13
+		x ^= x >> 7
+		x ^= x << 17
+		keys[i] = x
+		xs[i] = float64(x>>11) / (1 << 53)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		copy(scratch, keys)
+		slices.Sort(scratch)
+		q := 0.0
+		for k, w := range xs {
+			p := 1 + float64(k&7)
+			d := float64(k) - p
+			if v := (math.Sqrt(d*d+4*p*w) - d) / 2; v > q {
+				q = v
+			}
+		}
+		calibrationSink += q + float64(scratch[n/2]>>60)
+	}
+}
 
 // naiveExplore reproduces the pre-compilation sweep: one naive
 // Problem.LHS evaluation (hyperperiods, point sets and demand bounds

@@ -137,14 +137,20 @@
 //   - Exclusive, single-owner: Profile.Thawed and
 //     CompiledProblem.CompileMutable produce profiles whose
 //     AddTasks/DropTasks patch rows in place inside a private arena,
-//     making a steady-state admit+remove cycle allocation-free. A change that moves the hyperperiod recompiles
-//     the profile in place through the same compile kernel Compile
-//     runs, into the profile's own arena and envelope index, so once
-//     they hold the larger horizon it allocates nothing either. The
-//     online manager thaws each touched channel's profile on first
-//     patch; consolidation rebuilds into exactly sized buffers so the
-//     memory-ratio trigger, which counts every buffer a profile keeps,
-//     converges.
+//     making a steady-state admit+remove cycle allocation-free. A
+//     change that moves the hyperperiod recompiles the profile in place
+//     through the same compile kernel Compile runs, into the profile's
+//     own arena and envelope index, so once they hold the larger
+//     horizon it allocates nothing either. An exclusive profile keeps
+//     its envelope index lazy: patches sort no rank keys, and MinQ at
+//     the manager's fixed period is one scan of the demand row (Eq. 11
+//     as written), bit-identical to the pruned scan; the envelope is
+//     built only when something reads it (Pairs, Check, Equal, an
+//     immutable what-if). The online manager thaws each touched
+//     channel's profile on first patch; consolidation rebuilds into
+//     exactly sized buffers so the memory-ratio trigger, which counts
+//     every buffer a profile keeps against its live state (a lazy
+//     index's live state has no keys or envelope), converges.
 //   - Scratch, per-owner, reused: the manager's touched-channel slice;
 //     the sim engine's epoch buffers (service windows, fault and
 //     corruption overlays), its job records (recycled through a
@@ -159,8 +165,10 @@
 // engine's linear-scan release path), so buffers may be reused but
 // operation order and floating-point accumulation order may not
 // change. CI enforces the performance side with cmd/benchgate: the
-// headline benchmarks run against the checked-in BENCH_baseline.json
-// and a >20% ns/op or allocs/op regression fails the build.
+// headline benchmarks run against the checked-in BENCH_baseline.json,
+// and a >20% regression in allocs/op, or in ns/op taken as a ratio to
+// the in-run calibration benchmark (BenchmarkCalibrate), fails the
+// build on any host.
 //
 // A typical session: build a Problem, explore the feasible periods,
 // solve for a design goal, and validate the result in simulation:

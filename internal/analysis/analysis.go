@@ -22,11 +22,13 @@
 package analysis
 
 import (
+	"errors"
 	"fmt"
 	"math"
 
 	"repro/internal/points"
 	"repro/internal/task"
+	"repro/internal/timeu"
 )
 
 // Alg selects the per-channel scheduling algorithm.
@@ -72,6 +74,68 @@ func ParseAlg(s string) (Alg, error) {
 // hyperperiod: every period must be a multiple of
 // 1/HyperperiodDenominator time units.
 const HyperperiodDenominator = 1_000_000
+
+// maxStreamSpan caps Σ H/T_i, the number of deadlines (repeats
+// included) every EDF path enumerates up to the hyperperiod H: the
+// deadline stream, the prefix rows and the envelope all grow with it.
+// The cap sits orders of magnitude above the channels this repository
+// models (a hyperperiod of a few hundred time units holds a few
+// thousand deadlines) and far below a stream whose enumeration would
+// stall an admission for seconds.
+const maxStreamSpan = 1 << 20
+
+// ErrHyperperiod reports a task set whose hyperperiod overflows the
+// integer fold or spans more deadlines than maxStreamSpan. Compile,
+// the profile patches and the EDF tests reject such a set with an
+// error wrapping it before enumerating anything.
+var ErrHyperperiod = errors.New("analysis: hyperperiod out of range")
+
+// foldPeriod folds the scaled period p into the hyperperiod numerator h.
+func foldPeriod(h, p int64) (int64, error) {
+	h, err := timeu.CheckedLCM(h, p)
+	if err != nil {
+		return 0, fmt.Errorf("%w: %v", ErrHyperperiod, err)
+	}
+	return h, nil
+}
+
+// addSpan adds the deadline count h/p of a task with scaled period p
+// (a divisor of the hyperperiod numerator h) to the running span Σ H/T_i
+// of a set, failing once the total passes maxStreamSpan.
+func addSpan(span, h, p int64) (int64, error) {
+	if d := h / p; d <= maxStreamSpan-span {
+		return span + d, nil
+	}
+	return 0, fmt.Errorf("%w: hyperperiod %g holds more than %d deadlines",
+		ErrHyperperiod, float64(h)/HyperperiodDenominator, maxStreamSpan)
+}
+
+// hyperperiod is task.Set.Hyperperiod for the EDF tests, under the same
+// overflow check and stream cap as Compile.
+func hyperperiod(s task.Set) (float64, error) {
+	if len(s) == 0 {
+		return 0, task.ErrEmptySet
+	}
+	h := int64(1)
+	for _, tk := range s {
+		p, err := timeu.ScaledPeriod(tk.T, HyperperiodDenominator)
+		if err != nil {
+			return 0, err
+		}
+		if h, err = foldPeriod(h, p); err != nil {
+			return 0, err
+		}
+	}
+	span := int64(0)
+	for _, tk := range s {
+		p, _ := timeu.ScaledPeriod(tk.T, HyperperiodDenominator)
+		var err error
+		if span, err = addSpan(span, h, p); err != nil {
+			return 0, err
+		}
+	}
+	return float64(h) / HyperperiodDenominator, nil
+}
 
 // sorted returns the set in priority order for a fixed-priority Alg.
 // EDF has no static order; the set is returned unchanged.
@@ -182,7 +246,7 @@ func FeasibleEDF(s task.Set, sp Supply) (bool, error) {
 	if s.Utilization() > sp.Alpha+1e-12 {
 		return false, nil // necessary condition; also bounds the busy period
 	}
-	h, err := s.Hyperperiod(HyperperiodDenominator)
+	h, err := hyperperiod(s)
 	if err != nil {
 		return false, err
 	}
@@ -268,7 +332,7 @@ func minQFP(s task.Set, alg Alg, p float64) (float64, error) {
 // minQEDF evaluates Eq. (11): the worst quantum over all deadlines up to
 // the hyperperiod.
 func minQEDF(s task.Set, p float64) (float64, error) {
-	h, err := s.Hyperperiod(HyperperiodDenominator)
+	h, err := hyperperiod(s)
 	if err != nil {
 		return 0, err
 	}

@@ -69,12 +69,13 @@ func assertMatchesOracles(t *testing.T, stage string, pf *Profile, s task.Set) {
 		all[k] = envelope.Pair{T: x, W: DemandBound(s, x)}
 	}
 	kept := envelope.Prune(all, false)
-	if len(kept) != len(pf.edf) {
-		t.Fatalf("%s: %d pruned pairs, envelope.Prune keeps %d", stage, len(pf.edf), len(kept))
+	edf := pf.keptEDF()
+	if len(kept) != len(edf) {
+		t.Fatalf("%s: %d pruned pairs, envelope.Prune keeps %d", stage, len(edf), len(kept))
 	}
 	for i := range kept {
-		if math.Float64bits(pf.edf[i].T) != math.Float64bits(kept[i].T) || math.Float64bits(pf.edf[i].W) != math.Float64bits(kept[i].W) {
-			t.Fatalf("%s: pruned pair %d is %+v, envelope.Prune has %+v", stage, i, pf.edf[i], kept[i])
+		if math.Float64bits(edf[i].T) != math.Float64bits(kept[i].T) || math.Float64bits(edf[i].W) != math.Float64bits(kept[i].W) {
+			t.Fatalf("%s: pruned pair %d is %+v, envelope.Prune has %+v", stage, i, edf[i], kept[i])
 		}
 	}
 }

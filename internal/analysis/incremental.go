@@ -136,11 +136,12 @@ func (pf *Profile) Tasks() task.Set {
 // for the same algorithm — the exactness guarantee of the incremental
 // constructors relative to a fresh Compile.
 func (pf *Profile) Equal(o *Profile) bool {
-	if pf.alg != o.alg || len(pf.edf) != len(o.edf) || len(pf.fp) != len(o.fp) {
+	a, b := pf.keptEDF(), o.keptEDF()
+	if pf.alg != o.alg || len(a) != len(b) || len(pf.fp) != len(o.fp) {
 		return false
 	}
-	for i := range pf.edf {
-		if pf.edf[i] != o.edf[i] {
+	for i := range a {
+		if a[i] != b[i] {
 			return false
 		}
 	}
@@ -183,11 +184,13 @@ func (pf *Profile) withTasksEDF(add []task.Task) (*Profile, error) {
 	hInt := pf.horizonInt
 	for i, t := range add {
 		p, err := timeu.ScaledPeriod(t.T, HyperperiodDenominator)
+		if err == nil {
+			hInt, err = foldPeriod(hInt, p)
+		}
 		if err != nil {
 			return nil, err
 		}
 		scaledAdd[i] = p
-		hInt = timeu.LCM(hInt, p)
 	}
 	if hInt != pf.horizonInt {
 		// A newcomer stretches the hyperperiod, so every existing stream
@@ -197,10 +200,17 @@ func (pf *Profile) withTasksEDF(add []task.Task) (*Profile, error) {
 		// Compile of the whole candidate.)
 		return pf.recompile(cand, true)
 	}
+	span := pf.span
+	for _, p := range scaledAdd {
+		var err error
+		if span, err = addSpan(span, hInt, p); err != nil {
+			return nil, err
+		}
+	}
 	n, k := len(pf.tasks), len(add)
 	next := &Profile{
 		alg: EDF, tasks: cand, horizon: pf.horizon, horizonInt: pf.horizonInt,
-		fallbacks: pf.fallbacks,
+		span: span, fallbacks: pf.fallbacks,
 	}
 	next.scaled = append(append(make([]int64, 0, n+k), pf.scaled...), scaledAdd...)
 	// Union of the newcomers' deadline streams: the single merge input.
@@ -212,7 +222,7 @@ func (pf *Profile) withTasksEDF(add []task.Task) (*Profile, error) {
 	// clone (a deep copy if the receiver is exclusive and will keep
 	// mutating). Merge splices the brand-new scheduling points in as
 	// zero-demand, zero-owner placeholders and reports their positions.
-	idx := pf.idxSnapshot()
+	idx := pf.idxSnapshot(false)
 	inserted := idx.Merge(union)
 	N := idx.Len()
 	if len(inserted) == 0 {
@@ -322,9 +332,15 @@ func (pf *Profile) withoutTasksEDF(rem []task.Task) (*Profile, error) {
 	// integer LCM is order-independent, so this matches what a fresh
 	// Compile of surv computes.
 	hInt := int64(1)
+	span := pf.span
 	for i, p := range pf.scaled {
-		if !used[i] {
-			hInt = timeu.LCM(hInt, p)
+		if used[i] {
+			span -= pf.horizonInt / p
+			continue
+		}
+		var err error
+		if hInt, err = foldPeriod(hInt, p); err != nil {
+			return nil, err
 		}
 	}
 	if hInt != pf.horizonInt {
@@ -335,7 +351,7 @@ func (pf *Profile) withoutTasksEDF(rem []task.Task) (*Profile, error) {
 	n := len(surv)
 	next := &Profile{
 		alg: EDF, tasks: surv, horizon: pf.horizon, horizonInt: hInt,
-		fallbacks: pf.fallbacks,
+		span: span, fallbacks: pf.fallbacks,
 	}
 	next.scaled = make([]int64, 0, n)
 	for i, p := range pf.scaled {
@@ -349,7 +365,7 @@ func (pf *Profile) withoutTasksEDF(rem []task.Task) (*Profile, error) {
 	// pre-compaction positions. A violated invariant (a deadline not in
 	// the stream — impossible unless the compiled state is corrupted)
 	// degrades to the oracle instead of panicking.
-	idx := pf.idxSnapshot()
+	idx := pf.idxSnapshot(false)
 	for _, t := range rem {
 		if err := idx.RemoveOwners(points.TaskDeadlines(t, pf.horizon)); err != nil {
 			return pf.recompile(surv, true)

@@ -31,6 +31,9 @@ func assertProfileIdentical(t *testing.T, stage string, got, want *Profile) {
 	if got.horizonInt != want.horizonInt {
 		t.Fatalf("%s: horizonInt %d, want %d", stage, got.horizonInt, want.horizonInt)
 	}
+	if got.span != want.span {
+		t.Fatalf("%s: deadline span %d, want %d", stage, got.span, want.span)
+	}
 	if (got.idx == nil) != (want.idx == nil) {
 		t.Fatalf("%s: index presence differs from fresh Compile", stage)
 	}

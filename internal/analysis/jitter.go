@@ -83,7 +83,7 @@ func FeasibleEDFJitter(s task.Set, j Jitter, sp Supply) (bool, error) {
 	if s.Utilization() > sp.Alpha+1e-12 {
 		return false, nil
 	}
-	h, err := s.Hyperperiod(HyperperiodDenominator)
+	h, err := hyperperiod(s)
 	if err != nil {
 		return false, err
 	}
@@ -117,7 +117,7 @@ func MinQEDFJitter(s task.Set, j Jitter, p float64) (float64, error) {
 	if len(s) == 0 {
 		return 0, nil
 	}
-	h, err := s.Hyperperiod(HyperperiodDenominator)
+	h, err := hyperperiod(s)
 	if err != nil {
 		return 0, err
 	}

@@ -26,6 +26,13 @@ import (
 //   - the envelope index is mutated directly (no Clone) — the index's
 //     own copy-on-write machinery privatizes anything still shared
 //     with the ancestor the profile was thawed from;
+//   - the index is lazy (envelope.Index.SetLazy): a patch keeps only
+//     the stream, the owner counts and the demand row current, and
+//     never sorts rank keys or builds the envelope. The manager reads
+//     each patched profile at one period, and MinQ answers that from
+//     the demand row in one scan (Profile.MinQ), so nothing reads the
+//     envelope after a patch; Pairs, Check, Equal, MemStats and the
+//     immutable constructors build or skip it on demand;
 //   - an admission or release that moves the hyperperiod re-ranges
 //     every deadline stream, so there is nothing to patch: the profile
 //     is recompiled in place by the EDF compile kernel (compileEDF, the
@@ -40,11 +47,12 @@ import (
 //
 // Exclusivity is a single-owner contract, not a lock: an exclusive
 // profile must only be reached from one goroutine at a time (the
-// manager guarantees this with its channel locks). The immutable
+// manager guarantees this with its channel locks), and that includes
+// its reads, since a read may build the lazy envelope. The immutable
 // WithTasks/WithoutTasks remain callable on an exclusive profile —
-// they deep-copy the index instead of CoW-cloning it and latch
-// prebShared so the next in-place patch abandons the shared arena —
-// but the hot path never needs them.
+// they deep-copy the index instead of CoW-cloning it, make the copy
+// eager and latch prebShared so the next in-place patch abandons the
+// shared arena — but the hot path never needs them.
 
 // patchScratch holds the per-operation scratch buffers of the mutable
 // patch path. Pooled at package level: profiles are patched under
@@ -80,7 +88,7 @@ func (pf *Profile) Exclusive() bool { return pf.exclusive }
 func (pf *Profile) Thawed() *Profile {
 	c := &Profile{
 		alg: pf.alg, horizon: pf.horizon, horizonInt: pf.horizonInt,
-		fallbacks: pf.fallbacks, exclusive: true,
+		span: pf.span, fallbacks: pf.fallbacks, exclusive: true,
 	}
 	c.tasks = append(make(task.Set, 0, len(pf.tasks)+4), pf.tasks...)
 	if pf.scaled != nil {
@@ -88,14 +96,13 @@ func (pf *Profile) Thawed() *Profile {
 	}
 	switch {
 	case pf.idx != nil:
-		c.idx = pf.idxSnapshot()
+		c.idx = pf.idxSnapshot(true)
 		n, N := len(pf.pre), pf.idx.Len()
 		c.preb = make([]float64, n*N, n*N+2*N)
 		for r, row := range pf.pre {
 			copy(c.preb[r*N:(r+1)*N], row)
 		}
 		c.setRows(n, N)
-		c.edf = c.idx.Kept()
 	case pf.fp != nil:
 		// FP rows are immutable once built; sharing them is safe even
 		// across later in-place patches (those replace row pointers,
@@ -107,28 +114,30 @@ func (pf *Profile) Thawed() *Profile {
 
 // CompileMutable compiles s and returns the profile already in
 // exclusive mode — the starting point for a lineage that will be
-// patched in place rather than cloned. Compile already lays the rows
-// out in one exactly sized arena, so nothing is re-homed: a
-// consolidation that rebuilds through CompileMutable reports Ratio 1.0
-// and the ratio trigger converges.
+// patched in place rather than cloned. It compiles straight into a lazy
+// index, so it sorts no rank keys, and lays the rows out in one exactly
+// sized arena, so nothing is re-homed: a consolidation that rebuilds
+// through CompileMutable reports Ratio 1.0 and the ratio trigger
+// converges.
 func CompileMutable(s task.Set, alg Alg) (*Profile, error) {
-	pf, err := Compile(s, alg)
-	if err != nil {
-		return nil, err
-	}
-	pf.exclusive = true
-	return pf, nil
+	return compile(s, alg, true)
 }
 
-// idxSnapshot is the index snapshot an immutable constructor takes of
-// this profile. Published profiles never mutate again, so the cheap
-// copy-on-write Clone is safe; an exclusive profile keeps mutating in
-// place, which would corrupt a CoW child, so it pays for a deep copy.
-func (pf *Profile) idxSnapshot() *envelope.Index {
+// idxSnapshot is the index snapshot a derived profile takes of this
+// one, lazy for an exclusive copy (Thawed) and eager for a published
+// one (the immutable constructors). Published profiles never mutate
+// again, so the cheap copy-on-write Clone is safe; an exclusive
+// profile keeps mutating in place, which would corrupt a CoW child, so
+// it pays for a deep copy.
+func (pf *Profile) idxSnapshot(lazy bool) *envelope.Index {
+	var x *envelope.Index
 	if pf.exclusive {
-		return pf.idx.DeepClone()
+		x = pf.idx.DeepClone()
+	} else {
+		x = pf.idx.Clone()
 	}
-	return pf.idx.Clone()
+	x.SetLazy(lazy)
+	return x
 }
 
 // AddTasks patches the profile in place, adding every task in add in
@@ -273,9 +282,11 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 	}
 	// Fold the hyperperiod; the fold is monotone from the current
 	// horizon, so the first divergence is permanent and means every
-	// stream re-ranges — bail to a rebuild immediately.
+	// stream re-ranges — bail to a rebuild immediately (the kernel checks
+	// the new hyperperiod before touching the profile). At the current
+	// horizon, the newcomers' deadlines must still fit the stream cap.
 	scaledAdd := sc.scaled[:0]
-	hInt := pf.horizonInt
+	span := pf.span
 	for _, t := range add {
 		p, err := timeu.ScaledPeriod(t.T, HyperperiodDenominator)
 		if err != nil {
@@ -283,10 +294,14 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 			return err
 		}
 		scaledAdd = append(scaledAdd, p)
-		if hInt = timeu.LCM(hInt, p); hInt != pf.horizonInt {
+		if pf.horizonInt%p != 0 {
 			sc.scaled = scaledAdd
 			sc.set = append(append(sc.set[:0], pf.tasks...), add...)
 			return pf.adoptCompiled(sc.set, true, sc)
+		}
+		if span, err = addSpan(span, pf.horizonInt, p); err != nil {
+			sc.scaled = scaledAdd
+			return err
 		}
 	}
 	sc.scaled = scaledAdd
@@ -328,6 +343,7 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 	}
 	pf.tasks = append(pf.tasks, add...)
 	pf.scaled = append(pf.scaled, scaledAdd...)
+	pf.span = span
 	// Append the k new prefix rows, each the left-fold continuation of
 	// the one before.
 	ts := pf.idx.Ts()
@@ -343,7 +359,6 @@ func (pf *Profile) addTasksEDF(add []task.Task) error {
 	if err := pf.idx.SetDemand(pf.pre[n+k-1]); err != nil {
 		return pf.adoptCompiled(pf.tasks, true, sc)
 	}
-	pf.edf = pf.idx.Kept()
 	return nil
 }
 
@@ -389,7 +404,11 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	hInt := int64(1)
 	for i, p := range pf.scaled {
 		if !used[i] {
-			if hInt = timeu.LCM(hInt, p); hInt == pf.horizonInt {
+			var err error
+			if hInt, err = foldPeriod(hInt, p); err != nil {
+				return err
+			}
+			if hInt == pf.horizonInt {
 				break
 			}
 		}
@@ -407,11 +426,13 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	// Compact tasks and scaled in place.
 	w := 0
 	for i := 0; i < n0; i++ {
-		if !used[i] {
-			pf.tasks[w] = pf.tasks[i]
-			pf.scaled[w] = pf.scaled[i]
-			w++
+		if used[i] {
+			pf.span -= pf.horizonInt / pf.scaled[i]
+			continue
 		}
+		pf.tasks[w] = pf.tasks[i]
+		pf.scaled[w] = pf.scaled[i]
+		w++
 	}
 	clear(pf.tasks[w:n0])
 	pf.tasks = pf.tasks[:w]
@@ -451,7 +472,6 @@ func (pf *Profile) dropTasksEDF(rem []task.Task) error {
 	if err := pf.idx.SetDemand(pf.pre[n-1]); err != nil {
 		return pf.adoptCompiled(pf.tasks, true, sc)
 	}
-	pf.edf = pf.idx.Kept()
 	return nil
 }
 

@@ -33,6 +33,17 @@ import (
 // is applied with a relative margin (envelope.PruneMargin) far above
 // float64 noise, so the pruned scan returns bit-identical results to
 // the naive oracle MinQ.
+//
+// The envelope pays off when one profile is asked for MinQ at many
+// periods. An exclusive profile (mutate.go) is asked at one: the online
+// manager's period is fixed, and it reads MinQ once per patch. There
+// the envelope would be rebuilt after every patch to be read once, so
+// an exclusive profile keeps its index lazy (envelope.Index.SetLazy)
+// and answers MinQ with Eq. (11) as written — one max of qNeeded over
+// the whole demand row, the deadline scan minQEDF performs. Pruning
+// never decides that max, so the answer is the pruned scan's bit for
+// bit; Pairs, Check, Equal and the immutable constructors build the
+// envelope when they need it.
 
 // Profile is a task set's demand structure compiled for one scheduling
 // algorithm: everything minQ needs that does not depend on the period P.
@@ -43,7 +54,9 @@ import (
 type Profile struct {
 	alg Alg
 	// edf holds the surviving (t, W(t)) pairs of Eq. (11), ascending in
-	// t — the materialized envelope of idx. Used when alg == EDF.
+	// t — the materialized envelope of idx. Used when alg == EDF on a
+	// published profile; an exclusive profile leaves it nil and builds
+	// the envelope only on demand (keptEDF).
 	edf []envelope.Pair
 	// fp holds, per task in priority order, the surviving
 	// (t, W_i(t)) pairs of that task's scheduling-point search in
@@ -52,11 +65,10 @@ type Profile struct {
 
 	// idx is the incremental envelope index over the pre-pruning EDF
 	// deadline stream: the stream itself, per-point owner counts, the
-	// demand row W(t) and the maintained dominance envelope. nil for
-	// FP and empty profiles. The index is treated as immutable once the
-	// profile is published; incremental updates Clone it first, so
-	// what-if probes (core's compiled clones, online's trial admits)
-	// share one snapshot.
+	// demand row W(t) and the maintained dominance envelope (lazy on an
+	// exclusive profile). nil for FP and empty profiles. The index is
+	// treated as immutable once the profile is published; incremental
+	// updates Clone it first, so what-if probes share one snapshot.
 	idx *envelope.Index
 
 	// The fields below are the incremental-update state: the prefix
@@ -79,6 +91,10 @@ type Profile struct {
 	horizonInt int64
 	scaled     []int64
 	pre        [][]float64
+	// span is Σ horizon/T_i over tasks, the deadline count (repeats
+	// included) the stream was enumerated from, held under
+	// maxStreamSpan by every path that grows the set.
+	span int64
 	// fallbacks counts how many times this profile's incremental
 	// lineage bailed to a full recompile (hyperperiod change, or a
 	// violated stream invariant); carried across updates so online
@@ -109,7 +125,14 @@ type Profile struct {
 // demand evaluation and dominance pruning — exactly once. An empty set
 // compiles to a profile whose MinQ is identically zero.
 func Compile(s task.Set, alg Alg) (*Profile, error) {
-	pf := &Profile{alg: alg}
+	return compile(s, alg, false)
+}
+
+// compile is Compile into a profile of the given mode: an exclusive
+// EDF profile compiles straight into a lazy index, so it pays for no
+// envelope it will not read.
+func compile(s task.Set, alg Alg, exclusive bool) (*Profile, error) {
+	pf := &Profile{alg: alg, exclusive: exclusive}
 	if len(s) == 0 {
 		return pf, nil
 	}
@@ -143,7 +166,8 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 //
 //   - folds the scaled periods into the hyperperiod — the integer fold
 //     task.Set.Hyperperiod performs — keeping them for incremental
-//     horizon updates;
+//     horizon updates, and rejects an overflowing fold or a hyperperiod
+//     holding more than maxStreamSpan deadlines before enumerating any;
 //   - k-way-merges the tasks' deadline streams (the expression and
 //     merge order of points.Deadlines) straight into the envelope
 //     index's own stream and owner buffers (envelope.Index.Restream),
@@ -153,24 +177,34 @@ func Compile(s task.Set, alg Alg) (*Profile, error) {
 //     point the same float64 additions in the same order as
 //     DemandBound, so each row is bit-identical to its partial sum;
 //   - re-indexes the envelope over that stream and the full demand row
-//     with envelope.Index.Reset, which reuses the index's slabs.
+//     with envelope.Index.Reset, which reuses the index's slabs — and,
+//     on an exclusive profile, whose index is lazy, builds no envelope.
 //
-// s may alias pf.tasks. An invalid period is reported before pf is
-// touched.
+// s may alias pf.tasks. An invalid period or hyperperiod is reported
+// before pf is touched.
 func (pf *Profile) compileEDF(s task.Set, sc *patchScratch) error {
 	n := len(s)
 	fold := sc.fold[:0]
 	hInt := int64(1)
 	for _, tk := range s {
 		p, err := timeu.ScaledPeriod(tk.T, HyperperiodDenominator)
+		if err == nil {
+			hInt, err = foldPeriod(hInt, p)
+		}
 		if err != nil {
 			sc.fold = fold
 			return err
 		}
 		fold = append(fold, p)
-		hInt = timeu.LCM(hInt, p)
 	}
 	sc.fold = fold
+	span := int64(0)
+	for _, p := range fold {
+		var err error
+		if span, err = addSpan(span, hInt, p); err != nil {
+			return err
+		}
+	}
 	h := float64(hInt) / float64(HyperperiodDenominator)
 	if n == 0 {
 		h, hInt = 0, 0
@@ -184,6 +218,7 @@ func (pf *Profile) compileEDF(s task.Set, sc *patchScratch) error {
 	sc.heads, sc.ks = heads, ks
 	if pf.idx == nil && n > 0 {
 		pf.idx = envelope.New(false)
+		pf.idx.SetLazy(pf.exclusive)
 	}
 	var ts []float64
 	var owners []int32
@@ -206,7 +241,7 @@ func (pf *Profile) compileEDF(s task.Set, sc *patchScratch) error {
 	clear(pf.tasks[n:cap(pf.tasks)])
 	pf.scaled = resize(pf.scaled, n)
 	copy(pf.scaled, fold)
-	pf.horizon, pf.horizonInt = h, hInt
+	pf.horizon, pf.horizonInt, pf.span = h, hInt, span
 
 	need := n * N
 	a := pf.preb
@@ -240,7 +275,9 @@ func (pf *Profile) compileEDF(s task.Set, sc *patchScratch) error {
 	if err := pf.idx.Reset(ts, pf.pre[n-1], owners); err != nil {
 		return err
 	}
-	pf.edf = pf.idx.Kept()
+	if !pf.exclusive {
+		pf.edf = pf.idx.Kept()
+	}
 	return nil
 }
 
@@ -352,13 +389,24 @@ func compileFPRow(hp task.Set, tk task.Task) []envelope.Pair {
 func (pf *Profile) Alg() Alg { return pf.alg }
 
 // Pairs returns the total number of (t, w) pairs retained after
-// pruning — the work MinQ performs per call.
+// pruning — the work MinQ performs per call on a published profile. On
+// an exclusive EDF profile it builds the envelope to count it.
 func (pf *Profile) Pairs() int {
-	n := len(pf.edf)
+	n := len(pf.keptEDF())
 	for _, pts := range pf.fp {
 		n += len(pts)
 	}
 	return n
+}
+
+// keptEDF returns the pruned EDF pairs. A published profile holds them
+// in edf; an exclusive profile builds them from its lazy index on the
+// first read after a patch, under the profile's single-owner contract.
+func (pf *Profile) keptEDF() []envelope.Pair {
+	if pf.exclusive && pf.idx != nil {
+		return pf.idx.Kept()
+	}
+	return pf.edf
 }
 
 // Fallbacks returns how many times this profile's lineage was
@@ -379,7 +427,9 @@ type MemStats struct {
 	// RetainedPoints is the pre-pruning scheduling-point count (the
 	// envelope index's stream length; 0 for FP profiles).
 	RetainedPoints int
-	// LivePairs is the pruned pair count MinQ scans (Profile.Pairs).
+	// LivePairs is the pair count MinQ scans per call: the pruned pairs
+	// (Profile.Pairs), or on an exclusive EDF profile, which scans its
+	// whole demand row, RetainedPoints.
 	LivePairs int
 	// OwnerTable is the per-point owner-count table size.
 	OwnerTable int
@@ -415,23 +465,27 @@ const (
 )
 
 // MemStats reports the profile's retained-memory shape. It is a cheap
-// O(rows) accounting pass, safe for concurrent use on a published
-// profile.
+// O(rows) accounting pass that never builds a lazy envelope, safe for
+// concurrent use on a published profile.
 func (pf *Profile) MemStats() MemStats {
 	var m MemStats
-	m.LivePairs = pf.Pairs()
 	if pf.alg != EDF {
+		m.LivePairs = pf.Pairs()
 		for _, row := range pf.fp {
 			m.LiveCells += len(row)
 			m.PinnedCells += cap(row)
 		}
 		return m
 	}
+	m.LivePairs = len(pf.edf)
 	var idxLive, idxHeld int
 	if pf.idx != nil {
 		m.RetainedPoints = pf.idx.Len()
 		m.OwnerTable = pf.idx.Len()
 		idxLive, idxHeld = pf.idx.Footprint()
+		if pf.exclusive {
+			m.LivePairs = m.RetainedPoints
+		}
 	}
 	rows := pf.pinned
 	if pf.exclusive {
@@ -480,9 +534,10 @@ func (pf *Profile) checkEDF() error {
 	if pf.idx != nil {
 		ts = pf.idx.Ts()
 	}
+	edf := pf.keptEDF()
 	if len(pf.tasks) == 0 {
-		if len(ts) != 0 || len(pf.pre) != 0 || len(pf.edf) != 0 {
-			return fmt.Errorf("empty profile retains %d points, %d rows, %d pairs", len(ts), len(pf.pre), len(pf.edf))
+		if len(ts) != 0 || len(pf.pre) != 0 || len(edf) != 0 {
+			return fmt.Errorf("empty profile retains %d points, %d rows, %d pairs", len(ts), len(pf.pre), len(edf))
 		}
 		return nil
 	}
@@ -546,12 +601,12 @@ func (pf *Profile) checkEDF() error {
 		all[k] = envelope.Pair{T: x, W: w}
 	}
 	kept := envelope.Prune(all, false)
-	if len(kept) != len(pf.edf) {
-		return fmt.Errorf("%d pruned pairs, envelope.Prune keeps %d", len(pf.edf), len(kept))
+	if len(kept) != len(edf) {
+		return fmt.Errorf("%d pruned pairs, envelope.Prune keeps %d", len(edf), len(kept))
 	}
 	for i := range kept {
-		if pf.edf[i] != kept[i] {
-			return fmt.Errorf("pruned pair %d is %+v, envelope.Prune has %+v", i, pf.edf[i], kept[i])
+		if edf[i] != kept[i] {
+			return fmt.Errorf("pruned pair %d is %+v, envelope.Prune has %+v", i, edf[i], kept[i])
 		}
 	}
 	return nil
@@ -562,6 +617,16 @@ func (pf *Profile) checkEDF() error {
 // single pass over the precompiled pairs with zero allocations. p must
 // be positive (as validated by the naive MinQ); MinQ returns 0 for
 // non-positive p.
+//
+// An exclusive EDF profile, whose envelope is left unbuilt, evaluates
+// Eq. (11) over its whole retained stream instead: the max of qNeeded
+// over every deadline and its demand W(t), the scan minQEDF performs,
+// read from the full prefix row. The envelope's dominated points lie
+// below a kept point at every P by the pruning margin, so they never
+// decide the max and the result equals the pruned scan bit for bit.
+// The published profile's pruned scan comes first and the row scan is
+// written out rather than called, so the design-time path is the loop
+// it always was, in a frameless leaf.
 func (pf *Profile) MinQ(p float64) float64 {
 	if p <= 0 {
 		return 0
@@ -570,6 +635,19 @@ func (pf *Profile) MinQ(p float64) float64 {
 		q := 0.0
 		for _, pr := range pf.edf {
 			if v := qNeeded(pr.T, p, pr.W); v > q {
+				q = v
+			}
+		}
+		if q != 0 || !pf.exclusive || len(pf.pre) == 0 {
+			return q
+		}
+		// An exclusive profile holds no pruned pairs: scan its row. The
+		// row and the stream have one length by construction (Check
+		// audits it); the double loop bound only spares MinQ the
+		// bounds-check panic path, and with it a stack frame.
+		ts, w := pf.idx.Ts(), pf.pre[len(pf.pre)-1]
+		for k := 0; k < len(ts) && k < len(w); k++ {
+			if v := qNeeded(ts[k], p, w[k]); v > q {
 				q = v
 			}
 		}

@@ -1,6 +1,7 @@
 package design
 
 import (
+	"errors"
 	"math"
 	"testing"
 
@@ -168,5 +169,26 @@ func TestSolveErrors(t *testing.T) {
 func TestAtInfeasiblePeriod(t *testing.T) {
 	if _, err := At(paperProblem(), MinOverheadBandwidth, 3.4); err == nil {
 		t.Error("infeasible period should error")
+	}
+}
+
+// TestSolveRejectsHyperperiodOutOfRange: a channel whose hyperperiod
+// overflows the integer fold, or spans more deadlines than the analysis
+// enumerates, makes Solve fail with analysis.ErrHyperperiod at compile
+// time instead of panicking or enumerating for minutes.
+func TestSolveRejectsHyperperiodOutOfRange(t *testing.T) {
+	for name, extra := range map[string]task.Set{
+		"LCM overflow": {
+			{Name: "p1", C: 0.01, T: 999983, D: 999983, Mode: task.NF},
+			{Name: "p2", C: 0.01, T: 999979, D: 999979, Mode: task.NF},
+			{Name: "p3", C: 0.01, T: 999961, D: 999961, Mode: task.NF},
+		},
+		"stream cap": {{Name: "huge", C: 0.01, T: 1e12, D: 1e12, Mode: task.NF}},
+	} {
+		pr := paperProblem()
+		pr.Tasks = append(append(task.Set(nil), pr.Tasks...), extra...)
+		if _, err := Solve(pr, MaxFlexibility, region.Options{}); !errors.Is(err, analysis.ErrHyperperiod) {
+			t.Errorf("%s: Solve = %v, want analysis.ErrHyperperiod", name, err)
+		}
 	}
 }

@@ -60,6 +60,21 @@
 // from-scratch walk per refresh (big mode): correctness is preserved,
 // incrementality is not. Real channels sit orders of magnitude below
 // the threshold.
+//
+// # Deferral
+//
+// Key maintenance is only worth its cost when the envelope is read
+// between mutations. Two things decide when it is skipped: stream
+// length (at or below smallLimit points one sort per read beats the
+// sparse bookkeeping) and the index's owner (SetLazy). A lazy index
+// never maintains the rank order: Reset and every mutator only keep the
+// stream and the slot columns current and leave the flags dirty, and
+// the first read (Kept, Check) rebuilds keys and flags with one
+// canonical sort-and-walk — the same predicate, so the same envelope.
+// Owners that read the envelope after every mutation (published,
+// immutable profiles) stay eager; owners that answer their queries
+// from the stream itself (exclusive profiles at one fixed period) go
+// lazy and pay for the envelope only when something asks for it.
 package envelope
 
 import (
@@ -136,11 +151,13 @@ type Index struct {
 
 	// big marks degraded mode (> maxSlots slots were needed): no keys,
 	// flags recomputed from scratch when dirty. flagsDirty is also the
-	// small-stream deferral latch: at or below smallLimit points the
-	// mutators skip incremental key maintenance and refresh rebuilds the
-	// rank order wholesale at the next read.
+	// deferral latch: on a lazy index (owner-driven, see SetLazy) or at
+	// or below smallLimit points the mutators skip incremental key
+	// maintenance and refresh rebuilds the rank order wholesale at the
+	// next read.
 	big        bool
 	flagsDirty bool
+	lazy       bool
 
 	// Copy-on-write latches. A Clone shares every array with the
 	// receiver and sets these on the clone only; each mutator privatizes
@@ -184,8 +201,9 @@ func Build(min bool, ts, ws []float64, owners []int32) (*Index, error) {
 }
 
 // Reset re-indexes x as the prepared stream (ts, ws, owners), with the
-// inputs and the resulting state exactly as Build would produce them,
-// but reusing the index's own slabs, keys and kept buffer instead of
+// inputs and the resulting state exactly as Build would produce them
+// (on a lazy index: the stream and slot columns, with the envelope left
+// to the next read), but reusing the index's own slabs, keys and kept buffer instead of
 // allocating — so a recompile that lands on a stream no longer than
 // one the index held before allocates nothing. A buffer a copy-on-write
 // Clone still shares is discarded, never written. On error the index
@@ -241,6 +259,11 @@ func (x *Index) Reset(ts, ws []float64, owners []int32) error {
 		x.promote()
 		return nil
 	}
+	if x.lazy {
+		// No keys until something reads the envelope.
+		x.flagsDirty = true
+		return nil
+	}
 	x.keys = resize(x.keys, n)
 	for p := range x.keys {
 		x.keys[p] = packRank(x.rank0S[p]) | uint64(p)
@@ -282,6 +305,13 @@ func resize[T any](buf []T, n int) []T {
 // Min reports whether the index keeps the min-envelope.
 func (x *Index) Min() bool { return x.min }
 
+// SetLazy selects owner-driven deferral. A lazy index skips all rank
+// order and drop-flag maintenance in Reset and every mutator and builds
+// the envelope only when it is read (Kept, Check), with one
+// sort-and-walk over the whole stream. The envelope it then returns is
+// the one an eager index holds. Clones inherit the setting.
+func (x *Index) SetLazy(on bool) { x.lazy = on }
+
 // Len returns the number of live points.
 func (x *Index) Len() int { return len(x.ts) }
 
@@ -318,11 +348,12 @@ func (x *Index) Owners() []int32 {
 }
 
 // Footprint reports the index's memory in bytes: live is what a fresh
-// Build of the current stream holds once its envelope is materialized,
-// held is the capacity of every buffer the index keeps reachable,
-// recycled slots and scratch included. held equals live for a fresh
-// Build and grows as mutations and Resets leave high-water capacity
-// behind.
+// Build of the current stream holds once its envelope is materialized
+// (on a lazy index, which keeps no envelope state between reads, the
+// stream and slot columns alone), held is the capacity of every buffer
+// the index keeps reachable, recycled slots and scratch included. held
+// equals live for a fresh Build or a fresh lazy Reset and grows as
+// mutations, Resets and reads leave capacity behind.
 func (x *Index) Footprint() (live, held int) {
 	const (
 		f64  = 8
@@ -330,13 +361,16 @@ func (x *Index) Footprint() (live, held int) {
 		pair = 16
 	)
 	// Per point: ts, slot, the three float slabs, ownS, dropS and
-	// (outside big mode) keys; plus the kept envelope. maxInf, rebuilt
-	// on demand, only counts as held.
+	// (outside big and lazy mode) keys; plus the kept envelope. maxInf,
+	// rebuilt on demand, only counts as held.
 	perPoint := f64 + i32 + 3*f64 + i32 + 1
-	if !x.big {
+	if !x.big && !x.lazy {
 		perPoint += f64
 	}
-	live = len(x.ts)*perPoint + len(x.kept)*pair
+	live = len(x.ts) * perPoint
+	if !x.lazy {
+		live += len(x.kept) * pair
+	}
 	held = cap(x.ts)*f64 + cap(x.slot)*i32 +
 		(cap(x.wS)+cap(x.rank0S)+cap(x.infS))*f64 +
 		cap(x.ownS)*i32 + cap(x.dropS) + cap(x.free)*i32 +
@@ -454,11 +488,11 @@ func (x *Index) ensureRank() {
 }
 
 // deferSmall reports whether key maintenance is deferred to the next
-// refresh: a deferral is already pending (the rank order is stale), or
-// the stream is small enough that one sort per refresh beats
+// refresh: the owner made the index lazy, a deferral is already pending
+// (the rank order is stale), or the stream is small enough that one sort per refresh beats
 // incremental bookkeeping. Only meaningful when !big.
 func (x *Index) deferSmall() bool {
-	return x.flagsDirty || len(x.ts) <= smallLimit
+	return x.lazy || x.flagsDirty || len(x.ts) <= smallLimit
 }
 
 // refresh settles any deferred flag maintenance: big mode re-walks with

@@ -257,9 +257,11 @@ func verify(t *testing.T, r *rand.Rand, x *Index, m *churnModel) {
 }
 
 func TestIndexChurnBitIdentical(t *testing.T) {
-	for _, min := range []bool{false, true} {
+	for _, c := range []struct{ min, lazy bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		min := c.min
 		r := rand.New(rand.NewSource(42))
 		x := New(min)
+		x.SetLazy(c.lazy)
 		m := &churnModel{}
 		newT := func() float64 {
 			for {

@@ -218,3 +218,82 @@ func TestResetAllocationFree(t *testing.T) {
 	}
 	verify(t, r, x, modelOf(lts, lws, lown))
 }
+
+// TestLazyIndex: a lazy index keeps no rank keys or envelope through
+// Reset and mutations — its footprint is the stream and slot columns
+// alone, exactly held after a fresh Reset — and builds, on the first
+// read after any run of mutations, the envelope an eager index holds.
+func TestLazyIndex(t *testing.T) {
+	r := rand.New(rand.NewSource(9))
+	for _, min := range []bool{false, true} {
+		for _, n := range []int{0, 5, 40, 300} {
+			ts, ws, owners := randomStream(r, n)
+			lazy, eager := New(min), New(min)
+			lazy.SetLazy(true)
+			if err := lazy.Reset(ts, ws, owners); err != nil {
+				t.Fatal(err)
+			}
+			if err := eager.Reset(ts, ws, owners); err != nil {
+				t.Fatal(err)
+			}
+			if live, held := lazy.Footprint(); live != held || cap(lazy.keys) != 0 || cap(lazy.kept) != 0 {
+				t.Fatalf("n=%d: fresh lazy Reset holds %d of %d live bytes, %d keys, %d kept", n, held, live, cap(lazy.keys), cap(lazy.kept))
+			}
+			m := modelOf(ts, ws, owners)
+			for step := 0; step < 30; step++ {
+				// A run of mutations on both, then one read.
+				for k := 0; k < 1+r.Intn(4); k++ {
+					switch r.Intn(3) {
+					case 0:
+						tv := 0.25 + 0.5*float64(r.Intn(2000))
+						if m.pos(tv) >= 0 {
+							continue
+						}
+						pt := []Pair{{T: tv, W: tv * r.Float64()}}
+						if err := lazy.Insert(pt); err != nil {
+							t.Fatal(err)
+						}
+						if err := eager.Insert(pt); err != nil {
+							t.Fatal(err)
+						}
+						m.insert(pt[0].T, pt[0].W, 1)
+					case 1:
+						var stream []float64
+						for i := range m.ts {
+							if r.Intn(4) == 0 {
+								stream = append(stream, m.ts[i])
+								m.own[i]--
+							}
+						}
+						if err := lazy.Remove(stream); err != nil {
+							t.Fatal(err)
+						}
+						if err := eager.Remove(stream); err != nil {
+							t.Fatal(err)
+						}
+						m.compact()
+					default:
+						for i := range m.ws {
+							if r.Intn(3) == 0 {
+								m.ws[i] = m.ts[i] * r.Float64()
+							}
+						}
+						if err := lazy.SetDemand(slices.Clone(m.ws)); err != nil {
+							t.Fatal(err)
+						}
+						if err := eager.SetDemand(slices.Clone(m.ws)); err != nil {
+							t.Fatal(err)
+						}
+					}
+				}
+				if len(lazy.ts) > smallLimit && !lazy.flagsDirty && !lazy.keptOK {
+					t.Fatalf("n=%d step %d: a lazy index maintained its flags", n, step)
+				}
+				if !samePairs(lazy.Kept(), eager.Kept()) {
+					t.Fatalf("n=%d step %d: lazy kept %v, eager %v", n, step, lazy.Kept(), eager.Kept())
+				}
+				verify(t, r, lazy, m)
+			}
+		}
+	}
+}

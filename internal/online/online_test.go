@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/analysis"
 	"repro/internal/core"
@@ -135,6 +136,61 @@ func TestAdmitNonFiniteTask(t *testing.T) {
 	}
 	if err := m.CheckProfiles(); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestAdmitHyperperiodOutOfRange pins two reproduced failures of the
+// hyperperiod fold: three nearly coprime periods whose LCM overflows
+// int64 panicked inside AdmitBatch, and a period of 1e12 made the
+// channel compile enumerate about 1e11 deadlines. Both must come back
+// promptly as VerdictInvalid rejections that leave the manager as it
+// was, through AdmitBatch and AdmitBatchPartial alike.
+func TestAdmitHyperperiodOutOfRange(t *testing.T) {
+	m := maxFlexManager(t)
+	before := m.Config()
+	for _, c := range []struct {
+		name  string
+		batch []task.Task
+	}{
+		{"LCM overflow", []task.Task{
+			{Name: "p1", C: 0.01, T: 999983, Mode: task.NF},
+			{Name: "p2", C: 0.01, T: 999979, Mode: task.NF},
+			{Name: "p3", C: 0.01, T: 999961, Mode: task.NF},
+		}},
+		{"stream cap", []task.Task{{Name: "huge", C: 0.01, T: 1e12, Mode: task.NF}}},
+	} {
+		start := time.Now()
+		err := m.AdmitBatch(c.batch)
+		var rej *Rejection
+		if !errors.As(err, &rej) || len(rej.Verdicts) == 0 || rej.Verdicts[0].Code != VerdictInvalid ||
+			!strings.Contains(rej.Verdicts[0].Detail, "hyperperiod") {
+			t.Fatalf("%s: AdmitBatch = %v, want a VerdictInvalid hyperperiod rejection", c.name, err)
+		}
+		report, err := m.AdmitBatchPartial(c.batch, Policy{})
+		if err != nil {
+			t.Fatalf("%s: AdmitBatchPartial: %v", c.name, err)
+		}
+		if len(report.Admitted) != 0 || len(report.Rejected) != len(c.batch) {
+			t.Fatalf("%s: partial admitted %d, rejected %d of %d", c.name, len(report.Admitted), len(report.Rejected), len(c.batch))
+		}
+		for _, v := range report.Rejected {
+			if v.Code != VerdictInvalid {
+				t.Fatalf("%s: partial verdict %v, want invalid", c.name, v)
+			}
+		}
+		if d := time.Since(start); d > 5*time.Second {
+			t.Fatalf("%s: rejections took %v", c.name, d)
+		}
+		if got := m.Config(); got != before {
+			t.Fatalf("%s: rejections changed the config: %+v, want %+v", c.name, got, before)
+		}
+		if err := m.CheckProfiles(); err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+	}
+	// The names stay free: a valid task under one of them is admitted.
+	if err := m.Admit(task.Task{Name: "p1", C: 0.01, T: 12, Mode: task.NF}); err != nil {
+		t.Fatalf("name leaked by the rejected batch: %v", err)
 	}
 }
 

@@ -149,9 +149,14 @@ func (m *Manager) admitBatchPartial(batch []task.Task, pol Policy) (*AdmitReport
 		}
 		tc.thaw()
 		if err := tc.st.prof.AddTasks(group); err != nil {
+			// The group cannot be analysed together (its hyperperiod is
+			// out of range): nothing of the batch was admitted.
 			rollbackAdmits(touched)
 			m.unreserveAdmit(reserved)
-			return nil, fmt.Errorf("%w: %v", ErrRejected, err)
+			for _, t := range reserved {
+				report.Rejected = append(report.Rejected, TaskVerdict{Task: t, Code: VerdictInvalid, Detail: err.Error()})
+			}
+			return report, nil
 		}
 		tc.group, tc.minq, tc.patches = group, tc.st.prof.MinQ(m.p), 1
 	}

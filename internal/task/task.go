@@ -258,7 +258,9 @@ func (s Set) Hyperperiod(den int64) (float64, error) {
 		if err != nil {
 			return 0, err
 		}
-		h = timeu.LCM(h, p)
+		if h, err = timeu.CheckedLCM(h, p); err != nil {
+			return 0, err
+		}
 	}
 	return float64(h) / float64(den), nil
 }

@@ -14,6 +14,7 @@
 package timeu
 
 import (
+	"errors"
 	"fmt"
 	"math"
 )
@@ -58,21 +59,36 @@ func GCD(a, b int64) int64 {
 	return a
 }
 
-// LCM returns the least common multiple of a and b, or 0 if either is 0.
-// It panics on overflow, which for task periods indicates a modelling
-// error rather than a recoverable condition.
-func LCM(a, b int64) int64 {
+// ErrOverflow reports an integer time computation whose result does not
+// fit an int64.
+var ErrOverflow = errors.New("timeu: overflows int64")
+
+// CheckedLCM returns the least common multiple of a and b, or 0 if
+// either is 0, and an error wrapping ErrOverflow when the result does
+// not fit an int64. Hyperperiod folds over task periods use it: a set
+// of large, nearly coprime periods is input to reject, not a crash.
+func CheckedLCM(a, b int64) (int64, error) {
 	if a == 0 || b == 0 {
-		return 0
+		return 0, nil
 	}
 	g := GCD(a, b)
 	q := a / g
 	r := q * b
-	if r/b != q {
-		panic(fmt.Sprintf("timeu: LCM(%d, %d) overflows int64", a, b))
+	if r/b != q || r == math.MinInt64 {
+		return 0, fmt.Errorf("%w: LCM(%d, %d)", ErrOverflow, a, b)
 	}
 	if r < 0 {
-		return -r
+		return -r, nil
+	}
+	return r, nil
+}
+
+// LCM is CheckedLCM for operands known to be small (frame counts and
+// the like); it panics on overflow.
+func LCM(a, b int64) int64 {
+	r, err := CheckedLCM(a, b)
+	if err != nil {
+		panic(err.Error())
 	}
 	return r
 }
@@ -123,7 +139,9 @@ func HyperperiodInt(periods []float64, den int64) (int64, error) {
 		if err != nil {
 			return 0, err
 		}
-		h = LCM(h, r)
+		if h, err = CheckedLCM(h, r); err != nil {
+			return 0, err
+		}
 	}
 	return h, nil
 }

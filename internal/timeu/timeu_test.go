@@ -1,6 +1,7 @@
 package timeu
 
 import (
+	"errors"
 	"math"
 	"testing"
 	"testing/quick"
@@ -51,6 +52,27 @@ func TestLCMOverflowPanics(t *testing.T) {
 		}
 	}()
 	LCM(math.MaxInt64-1, math.MaxInt64-2)
+}
+
+// TestCheckedLCMOverflow: the checked form reports overflow as an
+// ErrOverflow error — the hyperperiod folds rely on it to reject large
+// coprime periods instead of panicking — and agrees with LCM otherwise.
+func TestCheckedLCMOverflow(t *testing.T) {
+	for _, c := range [][2]int64{
+		{math.MaxInt64 - 1, math.MaxInt64 - 2},
+		{5999772002142000000, 999961000000},
+		{math.MinInt64, 1},
+	} {
+		if r, err := CheckedLCM(c[0], c[1]); !errors.Is(err, ErrOverflow) {
+			t.Errorf("CheckedLCM(%d, %d) = %d, %v; want ErrOverflow", c[0], c[1], r, err)
+		}
+	}
+	if r, err := CheckedLCM(4, 6); r != 12 || err != nil {
+		t.Errorf("CheckedLCM(4, 6) = %d, %v", r, err)
+	}
+	if _, err := HyperperiodInt([]float64{999983, 999979, 999961}, 1_000_000); !errors.Is(err, ErrOverflow) {
+		t.Errorf("HyperperiodInt of coprime periods: %v, want ErrOverflow", err)
+	}
 }
 
 func TestLCMAll(t *testing.T) {
